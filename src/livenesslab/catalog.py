@@ -7,6 +7,7 @@ text yields, so the two routes cross-check each other in the test suite.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -302,8 +303,9 @@ CATALOG_STRINGS = {
 }
 
 
+@functools.lru_cache(maxsize=256)
 def build(cid: CatalogId) -> PropertyExpr:
-    """Construct the AST for a catalog id with its parameters."""
+    """The AST for a catalog id with its parameters, built once per id."""
     if cid.kind == LINK:
         if cid.name == "Sure":
             if not cid.params:

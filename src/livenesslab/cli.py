@@ -15,7 +15,7 @@ from typing import Optional
 from . import adversary, catalog, checker, hierarchy, scenarios, tracefile
 from .language import LanguageError, SpecSyntaxError, parse, parse_blocks, print_expr
 from .machine import make_config
-from .temporal import PropertyExpr, eval_expr
+from .temporal import PropertyExpr, TemporalError, eval_expr
 
 OK, PROPERTY_VIOLATED, USAGE, BUDGET = 0, 1, 2, 3
 
@@ -86,9 +86,9 @@ def _load_property(ref: str, params: dict):
         return name, expr
     try:
         cid = parse_property_ref(ref)
-        return cid.label(), catalog.build(cid)
-    except catalog.CatalogError:
+    except catalog.UnknownProperty:
         return "property", parse(ref, params)
+    return cid.label(), catalog.build(cid)
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -160,7 +160,7 @@ def main(argv: Optional[list] = None) -> int:
         print(f"syntax error at {exc.span.line}:{exc.span.column}: {exc}",
               file=sys.stderr)
         return USAGE
-    except (LanguageError, catalog.CatalogError, ValueError) as exc:
+    except (LanguageError, catalog.CatalogError, TemporalError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except adversary.CannotRealize as exc:

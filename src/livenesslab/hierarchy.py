@@ -22,7 +22,7 @@ from .catalog import (
 )
 from .machine import SystemConfig
 from .scenarios import TraceBuilder, raft_eachvote_lasso
-from .temporal import Trace, eval_expr
+from .temporal import HOLDS, VIOLATED, Trace, eval_expr
 
 
 class HierarchyError(Exception):
@@ -424,27 +424,24 @@ def _pqalw_not_extradur(d1: int, d2: int) -> Trace:
 
 
 def incomparability_report():
-    """Two witnesses per declared incomparable pair, each direction."""
-    pairs = []
+    """Two witnesses per declared incomparable pair, each direction.
 
-    extra = CatalogId(SERVER, "PQ-Extra-Dur", (2, 2))
-    pqalw = CatalogId(SERVER, "PQ-Alw")
-    w1 = _extradur_not_pqalw()
-    w2 = _pqalw_not_extradur(2, 2)
-    assert eval_expr(build(extra), w1).is_holds
-    assert eval_expr(build(pqalw), w1).is_violated
-    assert eval_expr(build(pqalw), w2).is_holds
-    assert eval_expr(build(extra), w2).is_violated
-    pairs.append((extra, pqalw, w1, w2))
-
-    some_exec = CatalogId(ASSERTION_SINGLE, "Some-Exec")
-    each_learn = CatalogId(ASSERTION_SINGLE, "Each-Learn")
-    w1 = _facts_witness(_QUORUM, learners=("a1",), executors=("a1",))
-    w2 = _facts_witness(_QUORUM, learners=_QUORUM)
-    assert eval_expr(build(some_exec), w1).is_holds
-    assert eval_expr(build(each_learn), w1).is_violated
-    assert eval_expr(build(each_learn), w2).is_holds
-    assert eval_expr(build(some_exec), w2).is_violated
-    pairs.append((some_exec, each_learn, w1, w2))
-
+    In each (a, b, w1, w2) entry, w1 satisfies a and violates b, and w2 the
+    reverse; a witness that does not raises HierarchyError.
+    """
+    pairs = [
+        (CatalogId(SERVER, "PQ-Extra-Dur", (2, 2)), CatalogId(SERVER, "PQ-Alw"),
+         _extradur_not_pqalw(), _pqalw_not_extradur(2, 2)),
+        (CatalogId(ASSERTION_SINGLE, "Some-Exec"), CatalogId(ASSERTION_SINGLE, "Each-Learn"),
+         _facts_witness(_QUORUM, learners=("a1",), executors=("a1",)),
+         _facts_witness(_QUORUM, learners=_QUORUM)),
+    ]
+    for a, b, w1, w2 in pairs:
+        for cid, trace, want in ((a, w1, HOLDS), (b, w1, VIOLATED),
+                                 (b, w2, HOLDS), (a, w2, VIOLATED)):
+            got = eval_expr(build(cid), trace)
+            if got.status != want:
+                raise HierarchyError(
+                    f"incomparability witness mislabeled: {cid.label()} is {got}, "
+                    f"expected {want}")
     return pairs

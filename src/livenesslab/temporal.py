@@ -6,6 +6,7 @@ makes ``alw``/``evt`` style properties decidable exactly.  Finite traces
 without a cycle get three-valued verdicts: a prefix that neither witnesses
 nor refutes a property yields ``Undetermined``.
 
+Properties are compiled once and the compiled programs are cached.
 Evaluation is purely functional over immutable traces and is safe to call
 concurrently.
 """
@@ -13,8 +14,10 @@ concurrently.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 
 class TemporalError(Exception):
@@ -254,17 +257,6 @@ class Trace:
             return None
         lam, p = self.loop_start, self.period
         return self.states[lam + (t - lam) % p]
-
-    def horizon(self, lo: int) -> int:
-        """Last position that needs checking for an unbounded quantifier at lo.
-
-        On a lasso, values of any forward-looking subexpression repeat with
-        the cycle period once past the loop start, so positions up to
-        ``max(lo, loop_start) + period - 1`` cover every distinct suffix.
-        """
-        if self.loop_start is None:
-            return len(self.states) - 1
-        return max(lo, self.loop_start) + self.period - 1
 
     def send_events(self):
         """All (sender, message, receiver, first-send-tick) tuples."""
@@ -529,341 +521,670 @@ def violated() -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# scope checking
+# compilation
+#
+# A property is compiled once into a tree of closures ``f(ctx, env, now)``
+# that return True, False or None (unknown) under strong Kleene logic.
+# Dispatch and scope resolution happen at compile time: every bound
+# variable gets a slot in the list ``env``, so a free variable is reported
+# before anything is evaluated.  Every other error (an unknown atom or
+# domain, a bad time) is raised only when evaluation reaches it, visiting
+# subexpressions left to right with the usual short-circuits.  ``ctx`` is
+# the `_Context` of one evaluation.
 
-def check_scoped(expr: PropertyExpr, bound: frozenset = frozenset()) -> None:
-    """Raise UnboundVariable if any variable occurrence is free."""
+class _Context:
+    """What one evaluation reads of its trace; built per call.
 
-    def need(term: Term, env: frozenset):
-        if isinstance(term, Var) and term.name not in env:
-            raise UnboundVariable(f"variable {term.name!r} is not bound")
+    ``cols`` holds the state columns the program uses, one entry per tick
+    over the states extended by one cycle, so most ticks index them
+    directly and later ticks wrap around the cycle.  ``domains`` caches
+    the config domains, and ``memo`` the lasso labels and per-state answers
+    of the nodes that keep them.
+    """
 
-    def need_time(term: TimeTerm, env: frozenset):
-        if isinstance(term, TVar) and term.name not in env:
-            raise UnboundVariable(f"time variable {term.name!r} is not bound")
-        if isinstance(term, TPlus):
-            need_time(term.base, env)
+    __slots__ = ("trace", "n", "loop", "period", "size", "cols", "domains", "memo")
 
-    def walk(e, env: frozenset):
-        if isinstance(e, (TrueE, FalseE, ServersEq)):
-            if isinstance(e, ServersEq):
-                need_time(e.t1, env)
-                need_time(e.t2, env)
-            return
-        if isinstance(e, Atom):
-            for a in e.args:
-                need(a, env)
-            return
-        if isinstance(e, Not):
-            walk(e.body, env)
-            return
-        if isinstance(e, (And, Or, Implies)):
-            walk(e.left, env)
-            walk(e.right, env)
-            return
-        if isinstance(e, (Each, Some)):
-            dom = e.domain
-            if isinstance(dom, MemberDomain) and dom.var not in env:
-                raise UnboundVariable(f"set variable {dom.var!r} is not bound")
-            if isinstance(dom, TickDomain):
-                need_time(dom.interval.lo, env)
-                if dom.interval.hi is not None:
-                    need_time(dom.interval.hi, env)
-            if isinstance(dom, NamedDomain) and dom.at is not None:
-                need_time(dom.at, env)
-            walk(e.body, env | {e.var})
-            return
-        if isinstance(e, (EachSent, SomeSent)):
-            extra = {e.sender, e.message, e.receiver}
-            if e.time_var:
-                extra.add(e.time_var)
-            walk(e.body, env | extra)
-            return
-        if isinstance(e, (Alw, Evt)):
-            walk(e.body, env)
-            return
-        if isinstance(e, During):
-            need_time(e.interval.lo, env)
-            if e.interval.hi is not None:
-                need_time(e.interval.hi, env)
-            walk(e.body, env)
-            return
-        if isinstance(e, (Lasts, After)):
-            walk(e.body, env)
-            return
-        if isinstance(e, At):
-            need_time(e.time, env)
-            walk(e.body, env)
-            return
-        if isinstance(e, NfSet):
-            if isinstance(e.target, Var) and e.target.name not in env:
-                raise UnboundVariable(f"set variable {e.target.name!r} is not bound")
-            return
-        raise TypeError(f"not a property expression: {e!r}")
-
-    walk(expr, bound)
-
-
-# ---------------------------------------------------------------------------
-# evaluation (strong Kleene three-valued logic)
-
-def _k_not(v):
-    return None if v is None else (not v)
-
-
-def _resolve(term: Term, env: dict):
-    if isinstance(term, Const):
-        return term.value
-    if isinstance(term, Var):
-        try:
-            return env[term.name]
-        except KeyError:
-            raise UnboundVariable(f"variable {term.name!r} is not bound")
-    raise TypeError(f"not a term: {term!r}")
-
-
-def _atom_value(atom: Atom, state: ObservationState, env: dict):
-    args = tuple(_resolve(a, env) for a in atom.args)
-    name = atom.name
-    if name == "nf":
-        return args[0] in state.nf_procs
-    if name == "is_primary":
-        return args[0] in state.primaries
-    if name == "sent":
-        return (args[0], args[1], args[2]) in state.sent
-    if name == "received":
-        return (args[0], args[1], args[2]) in state.received
-    if name == "voted":
-        if len(args) == 4:
-            return args in state.voted
-        p, r, v = args
-        return any(e[0] == p and e[1] == r and e[3] == v for e in state.voted)
-    if name == "learned":
-        if len(args) == 3:
-            return args in state.learned
-        p, v = args
-        return any(e[0] == p and e[2] == v for e in state.learned)
-    if name == "executed":
-        if len(args) == 3:
-            return args in state.executed
-        p, v = args
-        return any(e[0] == p and e[2] == v for e in state.executed)
-    if name == "sent_req":
-        return (args[0], args[1]) in state.requested
-    if name == "received_resp":
-        c, v = args
-        return any(e[0] == c and e[1] == v for e in state.responded)
-    if name == "received_resp_res":
-        # res(v) is the deterministic result of executing v; traces record it
-        # as the value itself
-        c, v = args
-        return (c, v, v) in state.responded
-    raise DomainUnknown(f"unknown atom {name!r}")
-
-
-class _Evaluator:
-    def __init__(self, trace: Trace):
+    def __init__(self, trace: Trace, columns: tuple):
+        states = trace.states
         self.trace = trace
-        self.config = trace.config
+        self.n = len(states)
+        self.loop = loop = trace.loop_start
+        self.period = trace.period
+        if loop is not None:
+            states = states + states[loop:]
+        self.size = len(states)
+        self.cols = [_COLUMNS[name](states) for name in columns]
+        self.domains = {}
+        self.memo = {}
 
-    def domain_values(self, dom: Domain, env: dict, now: int):
-        cfg = self.config
-        if isinstance(dom, NamedDomain):
-            if dom.name == "servers":
-                at = now if dom.at is None else eval_time(dom.at, env, now)
-                st = self.trace.state_at(at)
-                if st is None:
-                    return None  # roster unknown past the end of a finite trace
-                return sorted(st.roster)
-            try:
-                values = getattr(cfg, dom.name)
-            except AttributeError:
-                raise DomainUnknown(f"domain {dom.name!r} is not in the config")
-            if dom.name == "quorums":
-                return sorted(values, key=sorted)
-            return list(values)
-        if isinstance(dom, SlotRange):
-            return list(range(1, dom.n + 1))
-        if isinstance(dom, MemberDomain):
-            try:
-                group = env[dom.var]
-            except KeyError:
-                raise UnboundVariable(f"set variable {dom.var!r} is not bound")
-            return sorted(group)
-        raise TypeError(f"not an enumerable domain: {dom!r}")
+    def wrap(self, t: int):
+        """Column index of tick t >= size; None past the end of a finite trace."""
+        if self.loop is None:
+            return None
+        return self.loop + (t - self.loop) % self.period
 
-    def tick_positions(self, lo: int, hi: Optional[int]):
-        """Positions to enumerate plus whether an unknown tail remains."""
-        tr = self.trace
+    def index(self, t: int):
+        """Column index of any tick; a negative one is out of range."""
+        if t < 0:
+            raise TimeOutOfRange(f"tick {t} is negative")
+        return t if t < self.size else self.wrap(t)
+
+    def positions(self, lo: int, hi: Optional[int]):
+        """Ticks to enumerate for [lo, hi] plus whether an unknown tail remains.
+
+        On a lasso, values of any forward-looking subexpression repeat with
+        the cycle period once past the loop start, so ticks up to
+        ``max(lo, loop_start) + period - 1`` cover every distinct suffix.
+        """
         lo = max(lo, 0)
-        if tr.is_lasso:
-            cap = tr.horizon(lo)
-            top = cap if hi is None else min(hi, cap)
+        if self.loop is not None:
+            top = max(lo, self.loop) + self.period - 1
+            if hi is not None and hi < top:
+                top = hi
             return range(lo, top + 1), False
-        last = len(tr.states) - 1
-        if hi is None:
-            return range(lo, last + 1), True
-        if hi > last:
+        last = self.n - 1
+        if hi is None or hi > last:
             return range(lo, last + 1), True
         return range(lo, hi + 1), False
 
-    def eval(self, e: PropertyExpr, env: dict, now: int):
-        if isinstance(e, TrueE):
-            return True
-        if isinstance(e, FalseE):
-            return False
-        if isinstance(e, Atom):
-            st = self.trace.state_at(now)
-            if st is None:
-                return None
-            return _atom_value(e, st, env)
-        if isinstance(e, Not):
-            return _k_not(self.eval(e.body, env, now))
-        if isinstance(e, And):
-            left = self.eval(e.left, env, now)
-            if left is False:
-                return False
-            right = self.eval(e.right, env, now)
-            if right is False:
-                return False
-            if left is None or right is None:
-                return None
-            return True
-        if isinstance(e, Or):
-            left = self.eval(e.left, env, now)
-            if left is True:
-                return True
-            right = self.eval(e.right, env, now)
-            if right is True:
-                return True
-            if left is None or right is None:
-                return None
-            return False
-        if isinstance(e, Implies):
-            left = self.eval(e.left, env, now)
-            if left is False:
-                return True
-            right = self.eval(e.right, env, now)
-            if right is True:
-                return True
-            if left is None or right is None:
-                return None
-            return right
-        if isinstance(e, (Each, Some)):
-            universal = isinstance(e, Each)
-            if isinstance(e.domain, TickDomain):
-                lo, hi = e.domain.interval.bounds(env, now)
-                positions, tail = self.tick_positions(lo, hi)
-                result = True if universal else False
-                for t in positions:
-                    v = self.eval(e.body, {**env, e.var: t}, now)
-                    if universal and v is False:
-                        return False
-                    if not universal and v is True:
-                        return True
-                    if v is None:
-                        result = None
-                if tail:
-                    result = None
-                return result
-            members = self.domain_values(e.domain, env, now)
-            if members is None:
-                return None
-            result = True if universal else False
-            for m in members:
-                v = self.eval(e.body, {**env, e.var: m}, now)
-                if universal and v is False:
-                    return False
-                if not universal and v is True:
-                    return True
+
+def _field(name):
+    get = attrgetter(name)
+    return lambda states: [get(st) for st in states]
+
+
+def _projection(name, pick):
+    """Per state, the history set ``name`` with each tuple cut by ``pick``."""
+    def column(states):
+        seen = {}
+        out = []
+        for st in states:
+            full = getattr(st, name)
+            part = seen.get(full)
+            if part is None:
+                part = seen[full] = frozenset(map(pick, full))
+            out.append(part)
+        return out
+    return column
+
+
+def _sorted_rosters(states):
+    seen = {}
+    out = []
+    for st in states:
+        roster = seen.get(st.roster)
+        if roster is None:
+            roster = seen[st.roster] = tuple(sorted(st.roster))
+        out.append(roster)
+    return out
+
+
+_COLUMNS = {
+    **{name: _field(name) for name in ("nf_procs", "primaries", "roster") + _HISTORY_FIELDS},
+    "voted3": _projection("voted", itemgetter(0, 1, 3)),
+    "learned2": _projection("learned", itemgetter(0, 2)),
+    "executed2": _projection("executed", itemgetter(0, 2)),
+    "responded2": _projection("responded", itemgetter(0, 1)),
+    "servers": _sorted_rosters,
+    "servers_nf": lambda states: [st.nf_procs.issuperset(st.roster) for st in states],
+}
+
+#: atom name -> {arity: (column, the argument positions forming the lookup key)}
+_ATOMS = {
+    "nf": {1: ("nf_procs", (0,))},
+    "is_primary": {1: ("primaries", (0,))},
+    "sent": {3: ("sent", (0, 1, 2))},
+    "received": {3: ("received", (0, 1, 2))},
+    "voted": {4: ("voted", (0, 1, 2, 3)), 3: ("voted3", (0, 1, 2))},
+    "learned": {3: ("learned", (0, 1, 2)), 2: ("learned2", (0, 1))},
+    "executed": {3: ("executed", (0, 1, 2)), 2: ("executed2", (0, 1))},
+    "sent_req": {2: ("requested", (0, 1))},
+    "received_resp": {2: ("responded2", (0, 1))},
+    # res(v) is the deterministic result of executing v; traces record it
+    # as the value itself
+    "received_resp_res": {2: ("responded", (0, 1, 1))},
+}
+
+
+def _config_values(config, name: str) -> list:
+    try:
+        values = getattr(config, name)
+    except AttributeError:
+        raise DomainUnknown(f"domain {name!r} is not in the config")
+    if name == "quorums":
+        return sorted(values, key=sorted)
+    return list(values)
+
+
+def _true(ctx, env, now):
+    return True
+
+
+def _false(ctx, env, now):
+    return False
+
+
+def _fail(exc_type, message):
+    def fail(*_args):
+        raise exc_type(message)
+    return fail
+
+
+def _negation(body):
+    def negation(ctx, env, now):
+        v = body(ctx, env, now)
+        return None if v is None else not v
+    return negation
+
+
+def _junction(left, right, decisive):
+    """and (decisive False) or or (decisive True), left operand first."""
+    other = not decisive
+
+    def junction(ctx, env, now):
+        a = left(ctx, env, now)
+        if a is decisive:
+            return decisive
+        b = right(ctx, env, now)
+        if b is decisive:
+            return decisive
+        return None if a is None or b is None else other
+    return junction
+
+
+def _quantifier(members, slot, body, universal):
+    def quantifier(ctx, env, now):
+        values = members(ctx, env, now)
+        if values is None:
+            return None
+        result = universal
+        for value in values:
+            env[slot] = value
+            v = body(ctx, env, now)
+            if v is None:
+                result = None
+            elif v is not universal:
+                return v
+        return result
+    return quantifier
+
+
+def _window(bounds, body, universal=True, slot=None):
+    """A loop over the ticks in ``bounds``: moving ``now`` (alw, evt,
+    during, lasts, after) or binding ``slot`` (tick quantifiers)."""
+    def window(ctx, env, now):
+        lo, hi = bounds(env, now)
+        positions, tail = ctx.positions(lo, hi)
+        result = universal
+        for t in positions:
+            if slot is None:
+                v = body(ctx, env, t)
+            else:
+                env[slot] = t
+                v = body(ctx, env, now)
+            if v is None:
+                result = None
+            elif v is not universal:
+                return v
+        return None if tail else result
+    return window
+
+
+def _from_now(env, now):
+    return now, None
+
+
+def _label(ctx, env, body, universal) -> list:
+    """alw (universal) or evt of ``body`` at every tick 0..n-1 of a lasso.
+
+    The body is evaluated once per tick and the answers are combined
+    backward (Markey & Schnoebelen, *Model Checking a Path*, 2003).  A
+    sweep from tick t answers with the first decisive body value it meets
+    (False for alw, True for evt, or a raised error), else None if it met
+    an unknown, else the neutral value; each label records exactly that,
+    so errors still surface only where a sweep would reach them.
+    """
+    n, loop = ctx.n, ctx.loop
+    values = []
+    for t in range(n):
+        try:
+            values.append(body(ctx, env, t))
+        except Exception as exc:      # re-raised only where a sweep meets it
+            values.append(exc)
+    labels = [None] * n
+    # a sweep from a cycle tick visits the whole cycle, starting at that
+    # tick: two backward passes carry the first decisive value ahead of it
+    ahead = None
+    for t in [*range(n - 1, loop - 1, -1)] * 2:
+        if values[t] is not None and values[t] is not universal:
+            ahead = values[t]
+        labels[t] = ahead
+    if ahead is None:
+        labels[loop:] = [None if None in values[loop:] else universal] * (n - loop)
+    # a sweep from a prefix tick visits it, then sweeps from the next tick
+    for t in range(loop - 1, -1, -1):
+        v, rest = values[t], labels[t + 1]
+        if v is not None and v is not universal:
+            labels[t] = v
+        elif rest is not None and rest is not universal:
+            labels[t] = rest
+        else:
+            labels[t] = None if v is None or rest is None else universal
+    return labels
+
+
+def _labelled(node, free, body, universal, plain):
+    """alw/evt answered from lasso labels, computed once per binding of the
+    body's free variables; finite traces take the plain loop."""
+    binding = itemgetter(*free) if free else None
+
+    def labelled(ctx, env, now):
+        if ctx.loop is None:
+            return plain(ctx, env, now)
+        key = node if binding is None else (node, binding(env))
+        try:
+            labels = ctx.memo.get(key)
+        except TypeError:             # an unhashable binding
+            return plain(ctx, env, now)
+        if labels is None:
+            labels = ctx.memo[key] = _label(ctx, env, body, universal)
+        v = labels[now if now < ctx.n else ctx.wrap(now)]
+        if v is None or v is True or v is False:
+            return v
+        raise v
+    return labelled
+
+
+_UNSEEN = object()
+
+
+def _per_state(node, free, cols, body):
+    """A body that reads only the state at ``now`` and bound variables
+    answers alike wherever those agree, so its answers are remembered."""
+    def per_state(ctx, env, now):
+        i = now if now < ctx.size else ctx.wrap(now)
+        if i is None:
+            return body(ctx, env, now)
+        key = (node, *[env[k] for k in free], *[ctx.cols[c][i] for c in cols])
+        try:
+            v = ctx.memo.get(key, _UNSEEN)
+        except TypeError:             # an unhashable binding
+            return body(ctx, env, now)
+        if v is _UNSEEN:
+            v = ctx.memo[key] = body(ctx, env, now)
+        return v
+    return per_state
+
+
+class _Program(NamedTuple):
+    fn: Callable
+    nslots: int
+    columns: tuple
+
+
+class _Compiler:
+    """Compiles one expression and notes what each alw/evt body uses.
+
+    ``uses`` collects, for the subtree being compiled, the slots it reads,
+    ``("col", k)`` for each column it reads, and the flags "time" (a time
+    term), "loop" (a loop over ticks), "quantifier" (a quantifier over
+    values) and "quantifiers" (one nested in another).  ``loops`` holds the
+    slots bound by each enclosing loop over ticks: none for
+    alw/evt/during/lasts/after.
+    """
+
+    def __init__(self):
+        self.nslots = 0
+        self.columns: dict = {}
+        self.uses: set = set()
+        self.loops: list = []
+        self.nodes = 0
+
+    def program(self, expr: PropertyExpr, bound=()) -> _Program:
+        scope = {name: k for k, name in enumerate(bound)}
+        self.nslots = len(scope)
+        fn = self.expr(expr, scope, len(scope))
+        return _Program(fn, self.nslots, tuple(self.columns))
+
+    def expr(self, e, scope: dict, depth: int):
+        compile_node = _NODES.get(type(e))
+        if compile_node is None:
+            raise TypeError(f"not a property expression: {e!r}")
+        return compile_node(self, e, scope, depth)
+
+    def column(self, name: str) -> int:
+        k = self.columns.setdefault(name, len(self.columns))
+        self.uses.add(("col", k))
+        return k
+
+    def node(self) -> int:
+        """A fresh id for a node that keeps answers in ``ctx.memo``."""
+        self.nodes += 1
+        return self.nodes
+
+    def bind(self, scope: dict, depth: int, names):
+        """Fresh slots for ``names``; a repeated name keeps one slot, so
+        the last value written to it wins."""
+        fresh: dict = {}
+        for name in names:
+            fresh.setdefault(name, depth + len(fresh))
+        depth += len(fresh)
+        self.nslots = max(self.nslots, depth)
+        return {**scope, **fresh}, [fresh[name] for name in names], depth
+
+    def slot(self, name: str, scope: dict, what: str = "variable") -> int:
+        if name not in scope:
+            raise UnboundVariable(f"{what} {name!r} is not bound")
+        self.uses.add(scope[name])
+        return scope[name]
+
+    def loop_body(self, body, scope, depth, slots=()):
+        """Compile the body of a loop over ticks binding ``slots``; returns
+        it with what it uses."""
+        outer, self.uses = self.uses, set()
+        self.loops.append(frozenset(slots))
+        try:
+            fn = self.expr(body, scope, depth)
+        finally:
+            self.loops.pop()
+            uses = self.uses
+            self.uses = outer | uses | {"loop"}
+        return fn, uses
+
+    # -- terms, times and domains: functions of (env, now) or (ctx, env, now)
+
+    def term(self, term, scope: dict, what: str = "variable"):
+        if isinstance(term, Var):
+            return itemgetter(self.slot(term.name, scope, what))
+        if isinstance(term, Const):
+            value = term.value
+            return lambda env: value
+        return _fail(TypeError, f"not a term: {term!r}")
+
+    def time(self, term, scope: dict):
+        self.uses.add("time")
+        if isinstance(term, TLit):
+            value = term.value
+            return lambda env, now: value
+        if isinstance(term, TNow):
+            return lambda env, now: now
+        if isinstance(term, TVar):
+            k = self.slot(term.name, scope, "time variable")
+            message = f"{term.name!r} is bound to a non-tick value"
+
+            def tick(env, now):
+                value = env[k]
+                if not isinstance(value, int):
+                    raise DomainUnknown(message)
+                return value
+            return tick
+        if isinstance(term, TPlus):
+            base, offset = self.time(term.base, scope), term.offset
+            return lambda env, now: base(env, now) + offset
+        return _fail(TypeError, f"not a time term: {term!r}")
+
+    def interval(self, ivl: Interval, scope: dict):
+        """Inclusive (lo, hi) bounds as Interval.bounds computes them, except
+        that `_Context.positions` clamps lo at 0."""
+        lo = self.time(ivl.lo, scope)
+        lo_shift = 0 if ivl.lo_closed else 1
+        if ivl.hi is None:
+            return lambda env, now: (lo(env, now) + lo_shift, None)
+        hi = self.time(ivl.hi, scope)
+        hi_shift = 0 if ivl.hi_closed else 1
+        return lambda env, now: (lo(env, now) + lo_shift, hi(env, now) - hi_shift)
+
+    def domain(self, dom, scope: dict):
+        if isinstance(dom, NamedDomain) and dom.name == "servers":
+            col = self.column("servers")
+            if dom.at is None:
+                def servers(ctx, env, now):
+                    if now >= ctx.size:
+                        now = ctx.wrap(now)
+                        if now is None:
+                            return None   # roster unknown past a finite trace
+                    return ctx.cols[col][now]
+                return servers
+            at = self.time(dom.at, scope)
+
+            def servers_at(ctx, env, now):
+                i = ctx.index(at(env, now))
+                return None if i is None else ctx.cols[col][i]
+            return servers_at
+        if isinstance(dom, NamedDomain):
+            if dom.at is not None:
+                self.time(dom.at, scope)   # scope-checked, otherwise unused
+            name = dom.name
+
+            def config_domain(ctx, env, now):
+                values = ctx.domains.get(name)
+                if values is None:
+                    values = ctx.domains[name] = _config_values(ctx.trace.config, name)
+                return values
+            return config_domain
+        if isinstance(dom, SlotRange):
+            n = dom.n
+            return lambda ctx, env, now: list(range(1, n + 1))
+        if isinstance(dom, MemberDomain):
+            group = self.term(Var(dom.var), scope, "set variable")
+            return lambda ctx, env, now: sorted(group(env))
+        return _fail(TypeError, f"not an enumerable domain: {dom!r}")
+
+    # -- property nodes
+
+    def atom(self, e: Atom, scope, depth):
+        args = [self.term(a, scope) for a in e.args]
+        form = _ATOMS.get(e.name, {}).get(len(args))
+        if form is None:
+            if e.name in _ATOMS:
+                message = f"atom {e.name!r} does not take {len(args)} argument(s)"
+            else:
+                message = f"unknown atom {e.name!r}"
+
+            def unknown(ctx, env, now):
+                if now >= ctx.size and ctx.wrap(now) is None:
+                    return None
+                raise DomainUnknown(message)
+            return unknown
+        name, picks = form
+        col = self.column(name)
+        if all(isinstance(e.args[i], Var) for i in picks):
+            key = itemgetter(*(scope[e.args[i].name] for i in picks))
+        elif len(picks) == 1:
+            key = args[picks[0]]
+        else:
+            key = lambda env: tuple(args[i](env) for i in picks)   # noqa: E731
+
+        def atom(ctx, env, now):
+            if now >= ctx.size:
+                now = ctx.wrap(now)
+                if now is None:
+                    return None
+            return key(env) in ctx.cols[col][now]
+        return atom
+
+    def not_(self, e: Not, scope, depth):
+        return _negation(self.expr(e.body, scope, depth))
+
+    def and_(self, e: And, scope, depth):
+        return _junction(self.expr(e.left, scope, depth), self.expr(e.right, scope, depth),
+                         False)
+
+    def or_(self, e: Or, scope, depth):
+        return _junction(self.expr(e.left, scope, depth), self.expr(e.right, scope, depth),
+                         True)
+
+    def implies(self, e: Implies, scope, depth):
+        # Kleene implication is (not left) or right, evaluated in that order
+        return _junction(_negation(self.expr(e.left, scope, depth)),
+                         self.expr(e.right, scope, depth), True)
+
+    def quantified(self, e, scope, depth):
+        universal = isinstance(e, Each)
+        if isinstance(e.domain, TickDomain):
+            bounds = self.interval(e.domain.interval, scope)
+            inner, (k,), depth = self.bind(scope, depth, (e.var,))
+            body, _uses = self.loop_body(e.body, inner, depth, (k,))
+            return _window(bounds, body, universal, slot=k)
+        members = self.domain(e.domain, scope)
+        inner, (k,), depth = self.bind(scope, depth, (e.var,))
+        outer, self.uses = self.uses, set()
+        body = self.expr(e.body, inner, depth)
+        self.uses |= outer | {"quantifiers" if "quantifier" in self.uses else "quantifier"}
+        return _quantifier(members, k, body, universal)
+
+    def sent(self, e, scope, depth):
+        universal = isinstance(e, EachSent)
+        names = (e.sender, e.message, e.receiver) + ((e.time_var,) if e.time_var else ())
+        inner, slots, depth = self.bind(scope, depth, names)
+        body, _uses = self.loop_body(e.body, inner, depth, slots)
+        s, m, r = slots[:3]
+        tick = slots[3] if e.time_var else None
+
+        def sent(ctx, env, now):
+            result = universal
+            for (sender, message, receiver, t) in ctx.trace.send_events():
+                env[s], env[m], env[r] = sender, message, receiver
+                if tick is not None:
+                    env[tick] = t
+                v = body(ctx, env, t)
                 if v is None:
                     result = None
-            return result
-        if isinstance(e, (EachSent, SomeSent)):
-            universal = isinstance(e, EachSent)
-            events = self.trace.send_events()
+                elif v is not universal:
+                    return v
             # on a finite non-lasso trace more messages may still be sent,
             # so a universal cannot be confirmed nor an existential refuted
-            open_ended = not self.trace.is_lasso
-            result = True if universal else False
-            for (s, m, r, t) in events:
-                sub = {**env, e.sender: s, e.message: m, e.receiver: r}
-                if e.time_var:
-                    sub[e.time_var] = t
-                v = self.eval(e.body, sub, t)
-                if universal and v is False:
-                    return False
-                if not universal and v is True:
-                    return True
-                if v is None:
-                    result = None
-            if open_ended:
-                result = None
-            return result
-        if isinstance(e, Alw):
-            positions, tail = self.tick_positions(now, None)
-            result = True
-            for t in positions:
-                v = self.eval(e.body, env, t)
-                if v is False:
-                    return False
-                if v is None:
-                    result = None
-            return None if tail else result
-        if isinstance(e, Evt):
-            positions, tail = self.tick_positions(now, None)
-            result = False
-            for t in positions:
-                v = self.eval(e.body, env, t)
-                if v is True:
-                    return True
-                if v is None:
-                    result = None
-            return None if tail else result
-        if isinstance(e, During):
-            lo, hi = e.interval.bounds(env, now)
-            positions, tail = self.tick_positions(lo, hi)
-            result = True
-            for t in positions:
-                v = self.eval(e.body, env, t)
-                if v is False:
-                    return False
-                if v is None:
-                    result = None
-            if tail:
-                result = None
-            return result
-        if isinstance(e, Lasts):
-            return self.eval(During(e.body, closed(TLit(now), TLit(now + e.duration))), env, now)
-        if isinstance(e, After):
-            return self.eval(During(e.body, Interval(TLit(now + e.duration), None, False, False)), env, now)
-        if isinstance(e, At):
-            t = eval_time(e.time, env, now)
+            return None if ctx.loop is None else result
+        return sent
+
+    def temporal(self, e, scope, depth):
+        """alw/evt.  Labelled on lassos when the body has no time term and
+        an enclosing loop over ticks comes back to the same binding of the
+        body's free variables; a plain loop otherwise.  A body that reads
+        only the current state keeps per-state answers if it nests
+        quantifiers, which makes it costly enough to pay for the lookup."""
+        universal = isinstance(e, Alw)
+        body, uses = self.loop_body(e.body, scope, depth)
+        free = sorted(u for u in uses if isinstance(u, int) and u < depth)
+        if "quantifiers" in uses and not uses & {"time", "loop"}:
+            cols = sorted(u[1] for u in uses if isinstance(u, tuple))
+            body = _per_state(self.node(), free, cols, body)
+        plain = _window(_from_now, body, universal)
+        if "time" in uses or all(bound.intersection(free) for bound in self.loops):
+            return plain
+        return _labelled(self.node(), free, body, universal, plain)
+
+    def during(self, e: During, scope, depth):
+        bounds = self.interval(e.interval, scope)
+        return _window(bounds, self.loop_body(e.body, scope, depth)[0])
+
+    def lasts(self, e: Lasts, scope, depth):
+        d = e.duration
+        return _window(lambda env, now: (now, now + d), self.loop_body(e.body, scope, depth)[0])
+
+    def after(self, e: After, scope, depth):
+        d = e.duration
+        return _window(lambda env, now: (now + d + 1, None),
+                       self.loop_body(e.body, scope, depth)[0])
+
+    def at(self, e: At, scope, depth):
+        time = self.time(e.time, scope)
+        literal = _is_literal_time(e.time)
+        body = self.expr(e.body, scope, depth)
+
+        def at(ctx, env, now):
+            t = time(env, now)
             if t < 0:
                 raise TimeOutOfRange(f"time {t} is before the start of the trace")
-            if (not self.trace.is_lasso and t >= len(self.trace.states)
-                    and _is_literal_time(e.time)):
-                raise TimeOutOfRange(
-                    f"explicit time {t} lies beyond this finite trace")
-            return self.eval(e.body, env, t)
-        if isinstance(e, NfSet):
-            st = self.trace.state_at(now)
-            if st is None:
+            if literal and ctx.loop is None and t >= ctx.n:
+                raise TimeOutOfRange(f"explicit time {t} lies beyond this finite trace")
+            return body(ctx, env, t)
+        return at
+
+    def nf_set(self, e: NfSet, scope, depth):
+        if isinstance(e.target, ServersSet):
+            col = self.column("servers_nf")
+            group = None
+        else:
+            col = self.column("nf_procs")
+            group = self.term(e.target, scope, "set variable")
+
+        def nf_set(ctx, env, now):
+            if now >= ctx.size:
+                now = ctx.wrap(now)
+                if now is None:
+                    return None
+            if group is None:
+                return ctx.cols[col][now]
+            return ctx.cols[col][now].issuperset(group(env))
+        return nf_set
+
+    def servers_eq(self, e: ServersEq, scope, depth):
+        t1, t2 = self.time(e.t1, scope), self.time(e.t2, scope)
+        col = self.column("roster")
+
+        def servers_eq(ctx, env, now):
+            a, b = t1(env, now), t2(env, now)
+            i, j = ctx.index(a), ctx.index(b)
+            if i is None or j is None:
                 return None
-            if isinstance(e.target, ServersSet):
-                group = st.roster
-            else:
-                group = _resolve(e.target, env)
-            return all(p in st.nf_procs for p in group)
-        if isinstance(e, ServersEq):
-            t1 = eval_time(e.t1, env, now)
-            t2 = eval_time(e.t2, env, now)
-            s1 = self.trace.state_at(t1)
-            s2 = self.trace.state_at(t2)
-            if s1 is None or s2 is None:
-                return None
-            return s1.roster == s2.roster
-        raise TypeError(f"not a property expression: {e!r}")
+            rosters = ctx.cols[col]
+            return rosters[i] == rosters[j]
+        return servers_eq
+
+
+_NODES = {
+    TrueE: lambda c, e, scope, depth: _true,
+    FalseE: lambda c, e, scope, depth: _false,
+    Atom: _Compiler.atom, Not: _Compiler.not_, And: _Compiler.and_,
+    Or: _Compiler.or_, Implies: _Compiler.implies,
+    Each: _Compiler.quantified, Some: _Compiler.quantified,
+    EachSent: _Compiler.sent, SomeSent: _Compiler.sent,
+    Alw: _Compiler.temporal, Evt: _Compiler.temporal,
+    During: _Compiler.during, Lasts: _Compiler.lasts, After: _Compiler.after,
+    At: _Compiler.at, NfSet: _Compiler.nf_set, ServersEq: _Compiler.servers_eq,
+}
+
+_CACHE_SIZE = 256
+_cache_lock = threading.Lock()
+_by_id: dict = {}      # id(expr) -> (expr, program); holding expr pins its id
+_by_value: dict = {}   # expr -> program, so equal ASTs share one program
+
+
+def _remember(cache: dict, key, value) -> None:
+    with _cache_lock:
+        if len(cache) >= _CACHE_SIZE:
+            cache.pop(next(iter(cache)), None)
+        cache[key] = value
+
+
+def compile_expr(expr: PropertyExpr) -> _Program:
+    """The compiled program of ``expr``, from a small bounded cache.
+
+    The cache is looked up by object identity first and by structural
+    equality second, so a parsed property equal to a built one shares its
+    program.  Raises UnboundVariable for a free variable.
+    """
+    hit = _by_id.get(id(expr))
+    if hit is not None:
+        return hit[1]
+    try:
+        program = _by_value.get(expr)
+    except TypeError:                 # an unhashable constant: left uncached
+        return _Compiler().program(expr)
+    if program is None:
+        program = _Compiler().program(expr)
+        _remember(_by_value, expr, program)
+    _remember(_by_id, id(expr), (expr, program))
+    return program
+
+
+def check_scoped(expr: PropertyExpr, bound: frozenset = frozenset()) -> None:
+    """Raise UnboundVariable if any variable occurrence is free."""
+    if bound:
+        _Compiler().program(expr, sorted(bound))
+    else:
+        compile_expr(expr)
 
 
 def eval_expr(expr: PropertyExpr, trace: Trace, now: Tick = 0) -> Verdict:
@@ -875,8 +1196,8 @@ def eval_expr(expr: PropertyExpr, trace: Trace, now: Tick = 0) -> Verdict:
     """
     if not 0 <= now < len(trace.states):
         raise TimeOutOfRange(f"now={now} outside trace of length {len(trace.states)}")
-    check_scoped(expr)
-    value = _Evaluator(trace).eval(expr, {}, now)
+    program = compile_expr(expr)
+    value = program.fn(_Context(trace, program.columns), [None] * program.nslots, now)
     if value is True:
         return holds()
     if value is False:

@@ -206,9 +206,13 @@ _SORTS = {
 }
 
 
-def random_expr(rng: random.Random, depth: int = 4):
-    """A random well-scoped property over the corpus config vocabulary."""
-    env: dict = {}          # variable name -> sort
+def random_expr(rng: random.Random, depth: int = 4, bound=None):
+    """A random well-scoped property over the corpus config vocabulary.
+
+    `bound` maps the names of enclosing variables to their sorts (`proc`,
+    `quorum`, `value`, ...) so the result may refer to them.
+    """
+    env: dict = dict(bound or {})   # variable name -> sort
     triples: list = []      # (sender, message, receiver) bound by sent-binders
 
     def fresh(prefix):

@@ -134,3 +134,37 @@ def test_trace_check_undetermined_exit_code(tmp_path, capsys):
                           "--property", "Some-Learn")
     assert code == 3
     assert "Undetermined" in out
+
+
+def test_trace_check_now_out_of_range_is_usage(tmp_path, capsys):
+    lasso = tmp_path / "raft.lasso"
+    run(capsys, "scenario", "raft-eachvote", "--out", str(lasso))
+    code, out, err = run(capsys, "trace", "check", str(lasso),
+                         "--property", "Some-Learn", "--now", "50")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: now=50 outside trace of length 10")
+
+
+def test_trace_check_inconsistent_loop_start_is_usage(tmp_path, capsys):
+    import json
+
+    lasso = tmp_path / "raft.lasso"
+    run(capsys, "scenario", "raft-eachvote", "--out", str(lasso))
+    lines = lasso.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["loop_start"] = 0          # histories grow after tick 0
+    lines[0] = json.dumps(header)
+    lasso.write_text("\n".join(lines) + "\n")
+    code, _out, err = run(capsys, "trace", "check", str(lasso),
+                          "--property", "Some-Learn")
+    assert code == 2
+    assert err.startswith("error: cumulative histories differ")
+
+
+def test_catalog_reference_missing_its_parameter_is_named(tmp_path, capsys):
+    lasso = tmp_path / "raft.lasso"
+    run(capsys, "scenario", "raft-eachvote", "--out", str(lasso))
+    code, _out, err = run(capsys, "trace", "check", str(lasso), "--property", "Sure")
+    assert code == 2
+    assert err.strip() == "error: Sure needs a delivery bound D"

@@ -124,3 +124,30 @@ def test_incomparability_report():
         assert eval_expr(build(b), w1).is_violated
         assert eval_expr(build(b), w2).is_holds
         assert eval_expr(build(a), w2).is_violated
+
+
+def test_incomparability_report_rejects_a_wrong_witness_under_optimize():
+    # the checks must survive `python -O`, which strips assert statements
+    import os
+    import subprocess
+    import sys
+
+    import livenesslab
+
+    script = (
+        "import sys\n"
+        "import livenesslab.hierarchy as h\n"
+        "print('optimize', sys.flags.optimize)\n"
+        "h._extradur_not_pqalw = lambda: h._pqalw_not_extradur(2, 2)\n"
+        "try:\n"
+        "    h.incomparability_report()\n"
+        "except h.HierarchyError as exc:\n"
+        "    print('HierarchyError:', exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(livenesslab.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(
+        "optimize 1\nHierarchyError: incomparability witness mislabeled: PQ-Extra-Dur(2,2)")

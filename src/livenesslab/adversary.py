@@ -17,7 +17,7 @@ from typing import Optional
 from . import machine as mc
 from .catalog import LINK, SERVER, CatalogId, build
 from .machine import SystemConfig
-from .temporal import Trace, Verdict, eval_expr
+from .temporal import TemporalError, Trace, Verdict, eval_expr
 
 
 class AdversaryError(Exception):
@@ -120,12 +120,13 @@ def _matches(verdict: Verdict, mode: str) -> bool:
 # plan construction
 
 class _Driver:
-    """Grows an action list against a live machine state."""
+    """Grows a schedule against a live machine state, keeping every state
+    and the rank of every action taken."""
 
     def __init__(self, config: SystemConfig):
-        self.config = config
         self.state = mc.init(config)
-        self.actions: list = []
+        self.states: list = [self.state]
+        self.ranks: list = []
         self.fault_plan: list = []
 
     @property
@@ -133,8 +134,14 @@ class _Driver:
         return self.state.tick
 
     def take(self, action):
-        self.state = mc.apply_action(self.state, action)
-        self.actions.append(action)
+        try:
+            rank = mc.enabled(self.state).index(action)
+        except ValueError:
+            raise mc.ActionNotEnabled(
+                f"{action} is not enabled at tick {self.tick}") from None
+        self.ranks.append(rank)
+        self.state = mc.apply_action(self.state, action, check=False)
+        self.states.append(self.state)
 
     def enabled(self):
         return mc.enabled(self.state)
@@ -219,7 +226,7 @@ def _dur_violation_prefix(drv: _Driver, claimant: str, up_budget: int,
     receipts use the bounded up windows."""
     stalled = 0
     while stalled < 2:
-        before = len(drv.actions)
+        before = len(drv.ranks)
         drv.crash(claimant)
         while True:
             others = [a for a in drv.receipt_actions()
@@ -236,12 +243,12 @@ def _dur_violation_prefix(drv: _Driver, claimant: str, up_budget: int,
                 break
             drv.take(mine[0])
             fills += 1
-        stalled = stalled + 1 if len(drv.actions) == before + 2 else 0
+        stalled = stalled + 1 if len(drv.ranks) == before + 2 else 0
 
 
 def _plan(target: AssumptionTarget, config: SystemConfig,
           rng: random.Random) -> tuple:
-    """One candidate (actions, fault_plan, loop_start) for the target."""
+    """One candidate (driver, loop_start) for the target."""
     drv = _Driver(config)
     link = target.link
     server = target.server
@@ -265,7 +272,7 @@ def _plan(target: AssumptionTarget, config: SystemConfig,
                 drv.drop(sorted(drv.state.pending)[0])
             drv.recover(config.proposers[0])
         _dur_violation_prefix(drv, config.proposers[0], budget, rng)
-        loop_start = len(drv.actions) + 1
+        loop_start = len(drv.ranks) + 1
         drv.crash(config.proposers[0])
         drv.recover(config.proposers[0])
         return drv, loop_start
@@ -351,7 +358,7 @@ def _plan(target: AssumptionTarget, config: SystemConfig,
         if rng.random() < 0.5 and claimant != config.proposers[-1]:
             flap(config.proposers[-1])
 
-    loop_start = len(drv.actions) + 1 if cycle else len(drv.actions)
+    loop_start = len(drv.ranks) + 1 if cycle else len(drv.ranks)
     for kind, proc in cycle:
         if kind == "crash":
             drv.crash(proc)
@@ -372,10 +379,12 @@ def generate(target: AssumptionTarget, config: SystemConfig, seed: int,
         except (CannotRealize, mc.MachineError) as exc:
             failure = str(exc)
             continue
-        schedule = _to_schedule(drv, loop_start, seed, target)
+        schedule = Schedule(config=config, steps=tuple(drv.ranks),
+                            fault_plan=tuple(drv.fault_plan),
+                            loop_start=loop_start, seed=seed, target=target)
         try:
             trace = run_schedule(schedule)
-        except Exception as exc:  # lasso inconsistency and the like
+        except (AdversaryError, TemporalError) as exc:  # e.g. an inconsistent lasso
             failure = str(exc)
             continue
         verdicts = validate(trace, target)
@@ -385,24 +394,6 @@ def generate(target: AssumptionTarget, config: SystemConfig, seed: int,
             f"{d.prop.label()}: wanted {d.mode}, got {v}"
             for v, d in zip(verdicts, target.demands()))
     raise CannotRealize(f"no admissible schedule found: {failure}")
-
-
-def _to_schedule(drv: _Driver, loop_start: int, seed: int,
-                 target: AssumptionTarget) -> Schedule:
-    st = mc.init(drv.config)
-    ranks = []
-    for action in drv.actions:
-        acts = mc.enabled(st)
-        ranks.append(acts.index(action))
-        st = mc.apply_action(st, action, check=False)
-    return Schedule(
-        config=drv.config,
-        steps=tuple(ranks),
-        fault_plan=tuple(drv.fault_plan),
-        loop_start=loop_start,
-        seed=seed,
-        target=target,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +420,12 @@ def alwq_adversary(config: SystemConfig) -> Trace:
         drv.take_first(lambda act: isinstance(act, mc.AcceptorPromise)
                        and act.acceptor == a and act.msg.round == second_round)
     drv.deliver_promptly()  # stale first-round prepares and the promise replies
-    loop_start = len(drv.actions) + 1
+    loop_start = len(drv.ranks) + 1
     drv.crash(p2)
     drv.recover(p2)
     drv.crash(p1)
     drv.recover(p1)
-    return mc.trace_of(mc_states(drv), loop_start=loop_start)
+    return mc.trace_of(drv.states, loop_start=loop_start)
 
 
 def raw_blackout(config: SystemConfig) -> Trace:
@@ -442,13 +433,4 @@ def raw_blackout(config: SystemConfig) -> Trace:
     drv = _Driver(config)
     drv.elect(config.proposers[0])
     drv.drop_all_pending()
-    return mc.trace_of(mc_states(drv), loop_start=len(drv.actions))
-
-
-def mc_states(drv: _Driver) -> list:
-    st = mc.init(drv.config)
-    states = [st]
-    for action in drv.actions:
-        st = mc.apply_action(st, action, check=False)
-        states.append(st)
-    return states
+    return mc.trace_of(drv.states, loop_start=len(drv.ranks))

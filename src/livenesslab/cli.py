@@ -160,7 +160,8 @@ def main(argv: Optional[list] = None) -> int:
         print(f"syntax error at {exc.span.line}:{exc.span.column}: {exc}",
               file=sys.stderr)
         return USAGE
-    except (LanguageError, catalog.CatalogError, TemporalError, ValueError) as exc:
+    except (LanguageError, catalog.CatalogError, TemporalError, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except adversary.CannotRealize as exc:
@@ -236,8 +237,17 @@ def _dispatch(args) -> int:
             if ":" in part:
                 part, mode = part.rsplit(":", 1)
             demands.append(adversary.Demand(parse_property_ref(part), mode))
-        link = next((d for d in demands if d.prop.kind == catalog.LINK), None)
-        server = next((d for d in demands if d.prop.kind == catalog.SERVER), None)
+        links = [d for d in demands if d.prop.kind == catalog.LINK]
+        servers = [d for d in demands if d.prop.kind == catalog.SERVER]
+        others = [d.prop.label() for d in demands if d not in links + servers]
+        if others:
+            raise ValueError("--target takes link and server assumptions, not "
+                             + ", ".join(others))
+        if len(links) > 1 or len(servers) > 1:
+            raise ValueError("--target takes at most one link and one server "
+                             "assumption")
+        link = links[0] if links else None
+        server = servers[0] if servers else None
         target = adversary.AssumptionTarget(link, server)
         config = make_config(args.proposers, args.acceptors)
         schedule = adversary.generate(target, config, seed=args.seed)
@@ -285,6 +295,8 @@ def _dispatch(args) -> int:
         return OK
 
     if args.command == "hierarchy":
+        if args.corpus < 1:
+            raise ValueError(f"--corpus must be at least 1, got {args.corpus}")
         corpus = hierarchy.make_corpus(args.corpus, seed=args.seed)
         reports = hierarchy.check_edges(corpus, jobs=args.jobs)
         lines = []

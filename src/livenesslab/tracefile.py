@@ -11,13 +11,62 @@ from __future__ import annotations
 import json
 from typing import IO
 
-from .machine import SystemConfig
+from .machine import MachineError, SystemConfig
 from .temporal import ObservationState, Trace
 
 _SET_FIELDS = (
     "nf_procs", "primaries", "roster", "sent", "received", "voted",
     "learned", "executed", "requested", "responded",
 )
+
+
+class TraceFormatError(ValueError):
+    """A trace or schedule file that cannot be read, with the line at fault."""
+
+    def __init__(self, line: int, message: str):
+        self.line = line
+        super().__init__(f"line {line}: {message}")
+
+
+def _records(fp: IO[str], what: str, header_kind: str, body_kind: str) -> list:
+    """(line number, record) for every non-blank line: one header record,
+    then body records."""
+    records = []
+    for n, line in enumerate(fp.read().splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceFormatError(n, f"bad JSON: {exc.msg}") from None
+        kind = rec.get("kind") if isinstance(rec, dict) else None
+        if not records and kind != header_kind:
+            raise TraceFormatError(n, f"{what} file must start with a {header_kind} record")
+        if records and kind != body_kind:
+            raise TraceFormatError(n, f"unexpected record kind {kind!r}")
+        records.append((n, rec))
+    if not records:
+        raise TraceFormatError(1, f"empty {what} file")
+    return records
+
+
+def _header_config(line: int, header: dict) -> SystemConfig:
+    if "config" not in header:
+        raise TraceFormatError(line, f"{header['kind']} record lacks 'config'")
+    try:
+        return config_from_record(header["config"])
+    except KeyError as exc:
+        raise TraceFormatError(line, f"config lacks {exc.args[0]!r}") from None
+    except (TypeError, ValueError, MachineError) as exc:
+        raise TraceFormatError(line, f"bad config: {exc}") from None
+
+
+def _loop_start(line: int, header: dict):
+    loop_start = header.get("loop_start")
+    if loop_start is not None and type(loop_start) is not int:
+        raise TraceFormatError(line, f"loop_start must be an integer or null, "
+                                     f"got {loop_start!r}")
+    return loop_start
 
 
 def _plain(value):
@@ -78,23 +127,19 @@ def write_trace(trace: Trace, fp: IO[str]) -> None:
 
 
 def read_trace(fp: IO[str]) -> Trace:
-    lines = [line for line in fp.read().splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty trace file")
-    header = json.loads(lines[0])
-    if header.get("kind") != "header":
-        raise ValueError("trace file must start with a header record")
-    config = config_from_record(header["config"])
+    records = _records(fp, "trace", "header", "state")
+    line, header = records[0]
+    config = _header_config(line, header)
     states = []
-    for line in lines[1:]:
-        rec = json.loads(line)
-        if rec.get("kind") != "state":
-            raise ValueError(f"unexpected record kind {rec.get('kind')!r}")
-        kwargs = {}
-        for f in _SET_FIELDS:
-            kwargs[f] = frozenset(_frozen(v) for v in rec[f])
-        states.append(ObservationState(**kwargs))
-    return Trace(states, config, loop_start=header.get("loop_start"))
+    for n, rec in records[1:]:
+        try:
+            states.append(ObservationState(**{
+                f: frozenset(_frozen(v) for v in rec[f]) for f in _SET_FIELDS}))
+        except KeyError as exc:
+            raise TraceFormatError(n, f"state record lacks {exc.args[0]!r}") from None
+        except TypeError as exc:
+            raise TraceFormatError(n, f"bad state record: {exc}") from None
+    return Trace(states, config, loop_start=_loop_start(line, header))
 
 
 def trace_to_text(trace: Trace) -> str:
@@ -131,21 +176,20 @@ def write_schedule(schedule, fp: IO[str]) -> None:
 def read_schedule(fp: IO[str]):
     from .adversary import Schedule
 
-    lines = [line for line in fp.read().splitlines() if line.strip()]
-    header = json.loads(lines[0])
-    if header.get("kind") != "schedule":
-        raise ValueError("schedule file must start with a schedule record")
+    records = _records(fp, "schedule", "schedule", "step")
+    line, header = records[0]
+    config = _header_config(line, header)
     steps = []
-    for line in lines[1:]:
-        rec = json.loads(line)
-        if rec.get("kind") != "step":
-            raise ValueError(f"unexpected record kind {rec.get('kind')!r}")
-        steps.append(rec["rank"])
+    for n, rec in records[1:]:
+        rank = rec.get("rank")
+        if type(rank) is not int:
+            raise TraceFormatError(n, f"step record needs an integer rank, got {rank!r}")
+        steps.append(rank)
     return Schedule(
-        config=config_from_record(header["config"]),
+        config=config,
         steps=tuple(steps),
         fault_plan=tuple(_frozen(x) for x in header.get("fault_plan", ())),
-        loop_start=header.get("loop_start"),
+        loop_start=_loop_start(line, header),
         seed=header.get("seed"),
         target=Schedule.target_from_record(header.get("target")),
     )

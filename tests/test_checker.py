@@ -45,6 +45,23 @@ def test_explore_rejects_negative_start_and_tiny_budget():
         explore(cfg, 2, max_states=50)
 
 
+# (stable length, states generated, distinct states) for x = 0..3, pinned
+# from the bitmask explorer; any change to the move rules shows up here
+_EXPLORE_PINS = {
+    (2, 3): [(7, 62, 37), (10, 526, 289), (13, 3915, 2053), (13, 3924, 2053)],
+    (2, 4): [(9, 206, 92), (13, 3506, 1457), (17, 54788, 21932),
+             (17, 54802, 21932)],
+}
+
+
+def test_explore_golden_counters():
+    for (i, j), rows in _EXPLORE_PINS.items():
+        cfg = make_config(i, j)
+        got = [(r.stable_length, r.states_generated, r.distinct_states)
+               for r in (explore(cfg, x) for x in range(4))]
+        assert got == rows, (i, j)
+
+
 def test_explore_deterministic_counters():
     cfg = make_config(2, 4)
     a = explore(cfg, 1)
@@ -74,7 +91,10 @@ def test_checkrun_validation():
 def test_safety_scan_finds_no_violations():
     rep = safety_scan(competing_rounds_config(2, 3))
     assert rep.violations == ()
-    assert rep.distinct_states > 100_000
+    assert (rep.distinct_states, rep.states_generated) == (126121, 352516)
+    rep = safety_scan(competing_rounds_config(1, 3))
+    assert rep.violations == ()
+    assert (rep.distinct_states, rep.states_generated) == (2681, 6781)
 
 
 def test_lasso_search_fair_alwq_somelearn_counterexample():
@@ -83,6 +103,7 @@ def test_lasso_search_fair_alwq_somelearn_counterexample():
                                CatalogId(SERVER, "Alw-Q"),
                                CatalogId(ASSERTION_SINGLE, "Some-Learn"))
     assert res.is_counterexample
+    assert res.states_explored == 41
     tr = res.trace
     assert eval_expr(build(CatalogId(LINK, "Fair")), tr).is_holds
     assert eval_expr(build(CatalogId(SERVER, "Alw-Q")), tr).is_holds
@@ -95,6 +116,7 @@ def test_lasso_search_raw_alw_eachvote_counterexample():
                                CatalogId(SERVER, "Alw"),
                                CatalogId(ASSERTION_SINGLE, "Each-Vote"))
     assert res.is_counterexample
+    assert res.states_explored == 2
     assert eval_expr(build(CatalogId(SERVER, "Alw")), res.trace).is_holds
     assert eval_expr(build(CatalogId(ASSERTION_SINGLE, "Each-Vote")),
                      res.trace).is_violated
@@ -116,4 +138,4 @@ def test_lasso_search_fair_alw_somelearn_holds_by_exhaustion():
                                CatalogId(SERVER, "Alw"),
                                CatalogId(ASSERTION_SINGLE, "Some-Learn"))
     assert res.outcome == "holds"
-    assert res.states_explored > 100_000
+    assert res.states_explored == 235753

@@ -168,3 +168,37 @@ def test_catalog_reference_missing_its_parameter_is_named(tmp_path, capsys):
     code, _out, err = run(capsys, "trace", "check", str(lasso), "--property", "Sure")
     assert code == 2
     assert err.strip() == "error: Sure needs a delivery bound D"
+
+
+def test_unreadable_or_malformed_trace_file_is_usage(tmp_path, capsys):
+    code, out, err = run(capsys, "trace", "check", str(tmp_path / "missing.trace"),
+                         "--property", "Some-Learn")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno 2] No such file or directory")
+    lasso = tmp_path / "raft.lasso"
+    run(capsys, "scenario", "raft-eachvote", "--out", str(lasso))
+    lines = lasso.read_text().splitlines()
+    lines[2] = lines[2].replace('"sent"', '"sont"')
+    lasso.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "trace", "check", str(lasso), "--property", "Some-Learn")
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: line 3: state record lacks 'sent'"
+
+
+@pytest.mark.parametrize("target, message", [
+    ("Each-Vote", "--target takes link and server assumptions, not Each-Vote"),
+    ("Fair,Alw,Some-Learn", "--target takes link and server assumptions, not Some-Learn"),
+    ("Fair,Raw", "--target takes at most one link and one server assumption"),
+    ("Fair,Alw,Alw-Q", "--target takes at most one link and one server assumption"),
+])
+def test_simulate_target_must_name_one_link_and_one_server(capsys, target, message):
+    code, out, err = run(capsys, "simulate", "--target", target)
+    assert (code, out) == (2, "")
+    assert err.strip() == f"error: {message}"
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_hierarchy_check_needs_a_corpus(capsys, size):
+    code, out, err = run(capsys, "hierarchy", "check", "--corpus", size)
+    assert (code, out) == (2, "")
+    assert err.strip() == f"error: --corpus must be at least 1, got {size}"

@@ -1,11 +1,14 @@
 import io
+import json
 import random
+
+import pytest
 
 from livenesslab.adversary import alwq_adversary, raw_blackout
 from livenesslab.hierarchy import random_lasso
 from livenesslab.machine import make_config
 from livenesslab.scenarios import paxos_complex_livelock_lasso, raft_eachvote_lasso
-from livenesslab.tracefile import trace_from_text, trace_to_text
+from livenesslab.tracefile import TraceFormatError, trace_from_text, trace_to_text
 
 
 def roundtrip(trace):
@@ -53,3 +56,59 @@ def test_round_tuples_survive_the_trip():
     loaded = roundtrip(alwq_adversary(cfg))
     assert loaded.config.rounds == cfg.rounds
     assert all(isinstance(r, tuple) for r in loaded.config.rounds)
+
+
+def _broken_trace_text(edit):
+    lines = trace_to_text(raft_eachvote_lasso()).splitlines()
+    edit(lines)
+    return "\n".join(lines) + "\n"
+
+
+def _drop_field(lines, n, field):
+    rec = json.loads(lines[n])
+    del rec[field]
+    lines[n] = json.dumps(rec)
+
+
+def test_malformed_trace_files_name_the_line():
+    def blank_then_drop(lines):
+        lines.insert(1, "")           # blank lines are skipped but counted
+        _drop_field(lines, 3, "sent")
+
+    cases = [
+        (lambda ls: _drop_field(ls, 2, "sent"), 3, "state record lacks 'sent'"),
+        (blank_then_drop, 4, "state record lacks 'sent'"),
+        (lambda ls: _drop_field(ls, 0, "config"), 1, "header record lacks 'config'"),
+        (lambda ls: _drop_field(ls, 0, "kind"), 1, "trace file must start with"),
+        (lambda ls: ls.__setitem__(0, ls[0].replace('"loop_start":8', '"loop_start":"8"')),
+         1, "loop_start must be an integer or null, got '8'"),
+        (lambda ls: ls.__setitem__(4, ls[4][:-1]), 5, "bad JSON"),
+        (lambda ls: ls.insert(3, ls[0]), 4, "unexpected record kind 'header'"),
+    ]
+    for edit, line, message in cases:
+        with pytest.raises(TraceFormatError) as exc:
+            trace_from_text(_broken_trace_text(edit))
+        assert exc.value.line == line
+        assert str(exc.value).startswith(f"line {line}: {message}")
+    with pytest.raises(TraceFormatError, match="line 1: empty trace file"):
+        trace_from_text("\n")
+
+
+def test_malformed_schedule_files_name_the_line():
+    from livenesslab.adversary import AssumptionTarget, Demand, SATISFY, generate
+    from livenesslab.catalog import LINK, CatalogId
+    from livenesslab.tracefile import read_schedule, write_schedule
+
+    with pytest.raises(TraceFormatError, match="line 1: empty schedule file"):
+        read_schedule(io.StringIO(""))
+    schedule = generate(AssumptionTarget(link=Demand(CatalogId(LINK, "Fair"), SATISFY)),
+                        make_config(2, 3), seed=1)
+    buf = io.StringIO()
+    write_schedule(schedule, buf)
+    lines = buf.getvalue().splitlines()
+    lines[2] = '{"kind":"step"}'
+    with pytest.raises(TraceFormatError,
+                       match="line 3: step record needs an integer rank, got None"):
+        read_schedule(io.StringIO("\n".join(lines)))
+    with pytest.raises(TraceFormatError, match="line 1: bad JSON"):
+        read_schedule(io.StringIO("{" + "\n".join(lines)))

@@ -68,27 +68,6 @@ class Schedule:
     seed: Optional[int] = None
     target: Optional[AssumptionTarget] = None
 
-    def target_record(self):
-        if self.target is None:
-            return None
-        def rec(d):
-            if d is None:
-                return None
-            return {"kind": d.prop.kind, "name": d.prop.name,
-                    "params": list(d.prop.params), "mode": d.mode}
-        return {"link": rec(self.target.link), "server": rec(self.target.server)}
-
-    @staticmethod
-    def target_from_record(record):
-        if record is None:
-            return None
-        def dem(r):
-            if r is None:
-                return None
-            return Demand(CatalogId(r["kind"], r["name"], tuple(r["params"])),
-                          r["mode"])
-        return AssumptionTarget(dem(record.get("link")), dem(record.get("server")))
-
 
 def run_schedule(schedule: Schedule) -> Trace:
     """Replay a schedule; every selector must resolve in the enabled set."""
@@ -367,10 +346,11 @@ def _plan(target: AssumptionTarget, config: SystemConfig,
     return drv, loop_start
 
 
-def generate(target: AssumptionTarget, config: SystemConfig, seed: int,
-             max_attempts: int = 32) -> Schedule:
-    """Produce a schedule whose trace gives each demanded property its
-    requested verdict, or raise CannotRealize after a bounded search."""
+def simulate(target: AssumptionTarget, config: SystemConfig, seed: int,
+             max_attempts: int = 32) -> tuple:
+    """(schedule, trace, verdicts) for the first plan whose replayed trace
+    gives each demanded property its requested verdict; raise CannotRealize
+    after a bounded search.  The verdicts follow ``target.demands()``."""
     rng = random.Random(seed)
     failure = None
     for _ in range(max_attempts):
@@ -389,11 +369,18 @@ def generate(target: AssumptionTarget, config: SystemConfig, seed: int,
             continue
         verdicts = validate(trace, target)
         if all(_matches(v, d.mode) for v, d in zip(verdicts, target.demands())):
-            return schedule
+            return schedule, trace, verdicts
         failure = ", ".join(
             f"{d.prop.label()}: wanted {d.mode}, got {v}"
             for v, d in zip(verdicts, target.demands()))
     raise CannotRealize(f"no admissible schedule found: {failure}")
+
+
+def generate(target: AssumptionTarget, config: SystemConfig, seed: int,
+             max_attempts: int = 32) -> Schedule:
+    """Produce a schedule whose trace gives each demanded property its
+    requested verdict, or raise CannotRealize after a bounded search."""
+    return simulate(target, config, seed, max_attempts)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,8 @@ LINK_NAMES = ("Raw", "Fair", "Sure")
 SERVER_NAMES = ("Alw-Q", "Q-Alw", "P-Alw-Q", "PQ-Alw", "Alw", "PQ-Dur", "PQ-Extra-Dur")
 ASSERTION_NAMES = ("Each-Vote", "Some-Learn", "Each-Learn", "Some-Exec",
                    "Each-Exec", "Resp")
+_NAMES = {LINK: LINK_NAMES, SERVER: SERVER_NAMES,
+          ASSERTION_SINGLE: ASSERTION_NAMES, ASSERTION_MULTI: ASSERTION_NAMES}
 
 _PARAM_NAMES = {
     ("link", "Sure"): ("D",),
@@ -77,13 +79,9 @@ class CatalogId:
     params: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in (LINK, SERVER, ASSERTION_SINGLE, ASSERTION_MULTI):
+        if self.kind not in _NAMES:
             raise UnknownProperty(f"bad catalog kind {self.kind!r}")
-        names = {
-            LINK: LINK_NAMES, SERVER: SERVER_NAMES,
-            ASSERTION_SINGLE: ASSERTION_NAMES, ASSERTION_MULTI: ASSERTION_NAMES,
-        }[self.kind]
-        if self.name not in names:
+        if self.name not in _NAMES[self.kind]:
             raise UnknownProperty(f"{self.name!r} is not a {self.kind} property")
         # an id may leave parameters open (hierarchy edges quantify over
         # them), but only parameterized properties may carry any
@@ -169,37 +167,38 @@ def server_property(name: str, D: Optional[int] = None,
 # ---------------------------------------------------------------------------
 # liveness assertions
 
+def _body(name: str, slot: tuple) -> PropertyExpr:
+    """Assertion ``name`` below its `evt`, for every assertion but Resp.
+
+    The atoms take the slot arguments ``slot``: () for the single-value
+    form, (Var("s"),) for the slotted form.
+    """
+    fact = "learned" if name.endswith("Learn") else "executed"
+    if name == "Each-Vote":
+        vote = Atom("voted", (Var("p"), Var("r"), *slot, Var("v")))
+        return Some("r", NamedDomain("rounds"),
+                    Some("q", NamedDomain("quorums"),
+                         Some("v", NamedDomain("values"),
+                              Each("p", MemberDomain("q"), vote))))
+    if name in ("Some-Learn", "Some-Exec"):
+        return Some("p", NamedDomain("servers"),
+                    Some("v", NamedDomain("values"),
+                         Atom(fact, (Var("p"), *slot, Var("v")))))
+    if name in ("Each-Learn", "Each-Exec"):
+        return Some("q", NamedDomain("quorums"),
+                    Some("v", NamedDomain("values"),
+                         Each("p", MemberDomain("q"),
+                              Atom(fact, (Var("p"), *slot, Var("v"))))))
+    raise UnknownProperty(f"{name!r} is not a liveness assertion")
+
+
 def assertion_single(name: str) -> PropertyExpr:
     name = resolve_name(name)
-    if name == "Each-Vote":
-        vote = Atom("voted", (Var("p"), Var("r"), Var("v")))
-        return Evt(Some("r", NamedDomain("rounds"),
-                        Some("q", NamedDomain("quorums"),
-                             Some("v", NamedDomain("values"),
-                                  Each("p", MemberDomain("q"), vote)))))
-    if name == "Some-Learn":
-        return Evt(Some("p", NamedDomain("servers"),
-                        Some("v", NamedDomain("values"),
-                             Atom("learned", (Var("p"), Var("v"))))))
-    if name == "Each-Learn":
-        return Evt(Some("q", NamedDomain("quorums"),
-                        Some("v", NamedDomain("values"),
-                             Each("p", MemberDomain("q"),
-                                  Atom("learned", (Var("p"), Var("v")))))))
-    if name == "Some-Exec":
-        return Evt(Some("p", NamedDomain("servers"),
-                        Some("v", NamedDomain("values"),
-                             Atom("executed", (Var("p"), Var("v"))))))
-    if name == "Each-Exec":
-        return Evt(Some("q", NamedDomain("quorums"),
-                        Some("v", NamedDomain("values"),
-                             Each("p", MemberDomain("q"),
-                                  Atom("executed", (Var("p"), Var("v")))))))
     if name == "Resp":
         return Evt(Each("c", NamedDomain("clients"),
                         Some("v", NamedDomain("values"),
                              Atom("received_resp", (Var("c"), Var("v"))))))
-    raise UnknownProperty(f"{name!r} is not a liveness assertion")
+    return Evt(_body(name, ()))
 
 
 def assertion_multi(name: str, n: Optional[int] = None) -> PropertyExpr:
@@ -216,33 +215,7 @@ def assertion_multi(name: str, n: Optional[int] = None) -> PropertyExpr:
         raise MissingParameter(f"{name} needs the slot count n")
     if n < 1:
         raise MissingParameter("the slot count n must be at least 1")
-    if name == "Each-Vote":
-        vote = Atom("voted", (Var("p"), Var("r"), Var("s"), Var("v")))
-        inner = Some("r", NamedDomain("rounds"),
-                     Some("q", NamedDomain("quorums"),
-                          Some("v", NamedDomain("values"),
-                               Each("p", MemberDomain("q"), vote))))
-    elif name == "Some-Learn":
-        inner = Some("p", NamedDomain("servers"),
-                     Some("v", NamedDomain("values"),
-                          Atom("learned", (Var("p"), Var("s"), Var("v")))))
-    elif name == "Each-Learn":
-        inner = Some("q", NamedDomain("quorums"),
-                     Some("v", NamedDomain("values"),
-                          Each("p", MemberDomain("q"),
-                               Atom("learned", (Var("p"), Var("s"), Var("v"))))))
-    elif name == "Some-Exec":
-        inner = Some("p", NamedDomain("servers"),
-                     Some("v", NamedDomain("values"),
-                          Atom("executed", (Var("p"), Var("s"), Var("v")))))
-    elif name == "Each-Exec":
-        inner = Some("q", NamedDomain("quorums"),
-                     Some("v", NamedDomain("values"),
-                          Each("p", MemberDomain("q"),
-                               Atom("executed", (Var("p"), Var("s"), Var("v"))))))
-    else:
-        raise UnknownProperty(f"{name!r} is not a liveness assertion")
-    return Evt(Each("s", SlotRange(n), inner))
+    return Evt(Each("s", SlotRange(n), _body(name, (Var("s"),))))
 
 
 # ---------------------------------------------------------------------------
@@ -305,32 +278,16 @@ CATALOG_STRINGS = {
 
 @functools.lru_cache(maxsize=256)
 def build(cid: CatalogId) -> PropertyExpr:
-    """The AST for a catalog id with its parameters, built once per id."""
-    if cid.kind == LINK:
-        if cid.name == "Sure":
-            if not cid.params:
-                raise MissingParameter("Sure needs a delivery bound D")
-            return link_property("Sure", D=cid.params[0])
-        return link_property(cid.name)
-    if cid.kind == SERVER:
-        if cid.name == "PQ-Dur":
-            if not cid.params:
-                raise MissingParameter("PQ-Dur needs a duration D")
-            return server_property("PQ-Dur", D=cid.params[0])
-        if cid.name == "PQ-Extra-Dur":
-            if len(cid.params) != 2:
-                raise MissingParameter("PQ-Extra-Dur needs durations D1 and D2")
-            return server_property("PQ-Extra-Dur", D1=cid.params[0], D2=cid.params[1])
-        return server_property(cid.name)
-    if cid.kind == ASSERTION_SINGLE:
-        return assertion_single(cid.name)
-    if cid.kind == ASSERTION_MULTI:
-        if cid.name == "Resp":
-            return assertion_multi("Resp")
-        if not cid.params:
-            raise MissingParameter(f"{cid.name} needs the slot count n")
-        return assertion_multi(cid.name, n=cid.params[0])
-    raise UnknownProperty(cid.kind)
+    """The AST for a catalog id with its parameters, built once per id.
+
+    An id that leaves a parameter open gets the constructor's
+    MissingParameter error.
+    """
+    constructor = {
+        LINK: link_property, SERVER: server_property,
+        ASSERTION_SINGLE: assertion_single, ASSERTION_MULTI: assertion_multi,
+    }[cid.kind]
+    return constructor(cid.name, **dict(zip(param_names(cid.kind, cid.name), cid.params)))
 
 
 def param_names(kind: str, name: str) -> tuple:
@@ -342,9 +299,7 @@ def param_names(kind: str, name: str) -> tuple:
 def catalog_entries():
     """(CatalogId, parameter names, canonical text) for `catalog list`."""
     rows = []
-    for kind, names in ((LINK, LINK_NAMES), (SERVER, SERVER_NAMES),
-                        (ASSERTION_SINGLE, ASSERTION_NAMES),
-                        (ASSERTION_MULTI, ASSERTION_NAMES)):
+    for kind, names in _NAMES.items():
         for name in names:
             rows.append((CatalogId(kind, name), param_names(kind, name),
                          CANONICAL_TEXT[(kind, name)]))

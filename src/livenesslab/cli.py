@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from typing import Optional
@@ -15,7 +16,7 @@ from typing import Optional
 from . import adversary, catalog, checker, hierarchy, scenarios, tracefile
 from .language import LanguageError, SpecSyntaxError, parse, parse_blocks, print_expr
 from .machine import make_config
-from .temporal import PropertyExpr, TemporalError, eval_expr
+from .temporal import NODE_TYPES, PropertyExpr, TemporalError, eval_expr
 
 OK, PROPERTY_VIOLATED, USAGE, BUDGET = 0, 1, 2, 3
 
@@ -53,37 +54,34 @@ def _params_dict(pairs) -> dict:
 
 def _ast_dump(expr: PropertyExpr, indent: int = 0) -> str:
     pad = "  " * indent
-    fields = getattr(expr, "__dataclass_fields__", None)
-    if fields is None:
-        return f"{pad}{expr!r}"
     name = type(expr).__name__
     simple = []
     nested = []
-    for f in fields:
+    for f in expr.__dataclass_fields__:
         v = getattr(expr, f)
-        if hasattr(v, "__dataclass_fields__") and type(v).__module__.endswith("temporal") \
-                and type(v).__name__ not in ("Var", "Const", "TLit", "TVar", "TNow",
-                                             "TPlus", "Interval", "NamedDomain",
-                                             "SlotRange", "MemberDomain", "TickDomain",
-                                             "ServersSet"):
-            nested.append((f, v))
+        if isinstance(v, NODE_TYPES):
+            nested.append(v)
         else:
             simple.append(f"{f}={v!r}")
     head = f"{pad}{name}({', '.join(simple)})" if simple else f"{pad}{name}"
-    lines = [head]
-    for f, v in nested:
-        lines.append(_ast_dump(v, indent + 1))
-    return "\n".join(lines)
+    return "\n".join([head] + [_ast_dump(v, indent + 1) for v in nested])
+
+
+def _read_spec(path: str, params: dict) -> Optional[dict]:
+    """The named properties of the `.lspec` file at ``path``, or None when
+    there is no such file."""
+    if not os.path.exists(path):
+        return None
+    with open(path) as fp:
+        return parse_blocks(fp.read(), params)
 
 
 def _load_property(ref: str, params: dict):
-    import os
-
-    if os.path.exists(ref):
-        with open(ref) as fp:
-            blocks = parse_blocks(fp.read(), params)
-        name, expr = next(iter(blocks.items()))
-        return name, expr
+    blocks = _read_spec(ref, params)
+    if blocks is not None:
+        if not blocks:
+            raise ValueError(f"{ref} holds no property")
+        return next(iter(blocks.items()))
     try:
         cid = parse_property_ref(ref)
     except catalog.UnknownProperty:
@@ -183,12 +181,8 @@ def _emit(args, text: str) -> None:
 def _dispatch(args) -> int:
     if args.command == "spec":
         params = _params_dict(args.param)
-        import os
-
-        if os.path.exists(args.text):
-            with open(args.text) as fp:
-                blocks = parse_blocks(fp.read(), params)
-        else:
+        blocks = _read_spec(args.text, params)
+        if blocks is None:
             blocks = {"property": parse(args.text, params)}
         chunks = []
         for name, expr in blocks.items():
@@ -250,9 +244,7 @@ def _dispatch(args) -> int:
         server = servers[0] if servers else None
         target = adversary.AssumptionTarget(link, server)
         config = make_config(args.proposers, args.acceptors)
-        schedule = adversary.generate(target, config, seed=args.seed)
-        trace = adversary.run_schedule(schedule)
-        verdicts = adversary.validate(trace, target)
+        schedule, trace, verdicts = adversary.simulate(target, config, seed=args.seed)
         for d, v in zip(target.demands(), verdicts):
             print(f"{d.prop.label()}: wanted {d.mode}, got {v}", file=sys.stderr)
         _emit(args, tracefile.trace_to_text(trace).rstrip("\n"))

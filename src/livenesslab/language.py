@@ -70,7 +70,7 @@ _KEYWORDS = {
     "quorums", "values", "rounds", "inf", "true", "false", "res",
 }
 
-_DOMAIN_NAMES = {"servers", "clients", "quorums", "values", "rounds"}
+_DOMAIN_NAMES = ("servers", "clients", "quorums", "values", "rounds")
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
@@ -214,8 +214,6 @@ class _Parser:
         tok = self.peek()
         if tok.text in _DOMAIN_NAMES:
             self.next()
-            if tok.text not in ("servers", "clients", "quorums", "values", "rounds"):
-                raise UnknownDomain(tok.text)
             return NamedDomain(tok.text)
         if tok.kind == "int":
             self.next()
@@ -235,8 +233,7 @@ class _Parser:
             return MemberDomain(tok.text)
         raise SpecSyntaxError(
             tok.span,
-            ("servers", "clients", "quorums", "values", "rounds",
-             "a slot range", "an interval", "a set variable"),
+            (*_DOMAIN_NAMES, "a slot range", "an interval", "a set variable"),
             tok.text or "end of input",
         )
 

@@ -457,13 +457,8 @@ def apply_action(state: MachineState, action, check: bool = True) -> MachineStat
     )
 
 
-def observe(state: MachineState) -> ObservationState:
-    """Project the machine state onto the property language's vocabulary."""
-    return state.obs
-
-
-def run(config: SystemConfig, actions) -> tuple:
-    """Apply a sequence of actions from init; returns (states, observations)."""
+def run(config: SystemConfig, actions) -> list:
+    """Apply a sequence of actions from init; returns every state, init first."""
     st = init(config)
     machine_states = [st]
     for a in actions:
@@ -474,7 +469,7 @@ def run(config: SystemConfig, actions) -> tuple:
 
 def trace_of(machine_states, loop_start: Optional[int] = None) -> Trace:
     return Trace(
-        [observe(s) for s in machine_states],
+        [s.obs for s in machine_states],
         machine_states[0].config,
         loop_start=loop_start,
     )

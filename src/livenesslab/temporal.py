@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, NamedTuple, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union, get_args
 
 
 class TemporalError(Exception):
@@ -479,6 +479,8 @@ PropertyExpr = Union[
     Alw, Evt, During, Lasts, After, At,
     NfSet, ServersEq,
 ]
+#: every property node class, for code that walks any expression
+NODE_TYPES = get_args(PropertyExpr)
 
 
 # ---------------------------------------------------------------------------
@@ -1208,42 +1210,34 @@ def eval_expr(expr: PropertyExpr, trace: Trace, now: Tick = 0) -> Verdict:
 # ---------------------------------------------------------------------------
 # normalize_at and desugar
 
+def _map_children(f, e: PropertyExpr) -> PropertyExpr:
+    """``e`` with ``f`` applied, left to right, to each sub-expression."""
+    if not isinstance(e, NODE_TYPES):
+        raise TypeError(f"not a property expression: {e!r}")
+    changes = {name: f(getattr(e, name)) for name in ("body", "left", "right")
+               if hasattr(e, name)}
+    return replace(e, **changes) if changes else e
+
+
 def _used_names(expr: PropertyExpr) -> set:
     names = set()
 
     def walk(e):
         if isinstance(e, (Each, Some)):
             names.add(e.var)
-            walk(e.body)
         elif isinstance(e, (EachSent, SomeSent)):
             names.update({e.sender, e.message, e.receiver})
             if e.time_var:
                 names.add(e.time_var)
-            walk(e.body)
-        elif isinstance(e, Not):
-            walk(e.body)
-        elif isinstance(e, (And, Or, Implies)):
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, (Alw, Evt, During, Lasts, After, At)):
-            walk(e.body)
+        return _map_children(walk, e)
 
     walk(expr)
     return names
 
 
-class _FreshNames:
-    def __init__(self, used: set, prefix: str = "t"):
-        self.used = set(used)
-        self.prefix = prefix
-        self.counter = itertools.count(1)
-
-    def next(self) -> str:
-        while True:
-            name = f"{self.prefix}{next(self.counter)}"
-            if name not in self.used:
-                self.used.add(name)
-                return name
+def _fresh_names(used: set):
+    """t1, t2, ... in order, skipping the names in ``used``."""
+    return (f"t{k}" for k in itertools.count(1) if f"t{k}" not in used)
 
 
 def normalize_at(expr: PropertyExpr) -> PropertyExpr:
@@ -1252,91 +1246,51 @@ def normalize_at(expr: PropertyExpr) -> PropertyExpr:
     Temporal operators become quantifiers over tick intervals; the result
     evaluates identically on every trace.
     """
-    fresh = _FreshNames(_used_names(expr))
+    fresh = _fresh_names(_used_names(expr))
+
+    def ticks(quantifier, interval, body):
+        tv = next(fresh)
+        return quantifier(tv, TickDomain(interval), walk(body, TVar(tv)))
 
     def walk(e: PropertyExpr, tt: TimeTerm) -> PropertyExpr:
-        if isinstance(e, (TrueE, FalseE)):
-            return e
         if isinstance(e, (Atom, NfSet)):
-            if isinstance(e, NfSet):
-                return At(e, tt)
             return At(e, tt)
         if isinstance(e, ServersEq):
             return ServersEq(_subst_now(e.t1, tt), _subst_now(e.t2, tt))
-        if isinstance(e, Not):
-            return Not(walk(e.body, tt))
-        if isinstance(e, And):
-            return And(walk(e.left, tt), walk(e.right, tt))
-        if isinstance(e, Or):
-            return Or(walk(e.left, tt), walk(e.right, tt))
-        if isinstance(e, Implies):
-            return Implies(walk(e.left, tt), walk(e.right, tt))
         if isinstance(e, (Each, Some)):
             dom = e.domain
             if isinstance(dom, NamedDomain) and dom.name == "servers" and dom.at is None:
                 dom = NamedDomain("servers", at=tt)
             elif isinstance(dom, TickDomain):
                 dom = TickDomain(dom.interval.subst_now(tt))
-            cls = Each if isinstance(e, Each) else Some
-            return cls(e.var, dom, walk(e.body, tt))
+            return replace(e, domain=dom, body=walk(e.body, tt))
         if isinstance(e, (EachSent, SomeSent)):
-            tv = e.time_var or fresh.next()
-            cls = EachSent if isinstance(e, EachSent) else SomeSent
-            return cls(e.sender, e.message, e.receiver, walk(e.body, TVar(tv)), tv)
+            tv = e.time_var or next(fresh)
+            return replace(e, body=walk(e.body, TVar(tv)), time_var=tv)
         if isinstance(e, Alw):
-            tv = fresh.next()
-            return Each(tv, TickDomain(unbounded(tt)), walk(e.body, TVar(tv)))
+            return ticks(Each, unbounded(tt), e.body)
         if isinstance(e, Evt):
-            tv = fresh.next()
-            return Some(tv, TickDomain(unbounded(tt)), walk(e.body, TVar(tv)))
+            return ticks(Some, unbounded(tt), e.body)
         if isinstance(e, During):
-            tv = fresh.next()
-            ivl = e.interval.subst_now(tt)
-            return Each(tv, TickDomain(ivl), walk(e.body, TVar(tv)))
+            return ticks(Each, e.interval.subst_now(tt), e.body)
         if isinstance(e, Lasts):
-            tv = fresh.next()
-            ivl = Interval(tt, tplus(tt, e.duration), True, True)
-            return Each(tv, TickDomain(ivl), walk(e.body, TVar(tv)))
+            return ticks(Each, Interval(tt, tplus(tt, e.duration), True, True), e.body)
         if isinstance(e, After):
-            tv = fresh.next()
-            ivl = Interval(tplus(tt, e.duration), None, False, False)
-            return Each(tv, TickDomain(ivl), walk(e.body, TVar(tv)))
+            return ticks(Each, Interval(tplus(tt, e.duration), None, False, False), e.body)
         if isinstance(e, At):
             return walk(e.body, _subst_now(e.time, tt))
-        raise TypeError(f"not a property expression: {e!r}")
+        return _map_children(lambda c: walk(c, tt), e)
 
     return walk(expr, TNow())
 
 
 def desugar(expr: PropertyExpr) -> PropertyExpr:
     """Rewrite During/Lasts/After/NfSet into each-quantified at-forms."""
-    fresh = _FreshNames(_used_names(expr))
+    fresh = _fresh_names(_used_names(expr))
 
     def walk(e: PropertyExpr) -> PropertyExpr:
-        if isinstance(e, (TrueE, FalseE, Atom, ServersEq)):
-            return e
-        if isinstance(e, Not):
-            return Not(walk(e.body))
-        if isinstance(e, And):
-            return And(walk(e.left), walk(e.right))
-        if isinstance(e, Or):
-            return Or(walk(e.left), walk(e.right))
-        if isinstance(e, Implies):
-            return Implies(walk(e.left), walk(e.right))
-        if isinstance(e, Each):
-            return Each(e.var, e.domain, walk(e.body))
-        if isinstance(e, Some):
-            return Some(e.var, e.domain, walk(e.body))
-        if isinstance(e, EachSent):
-            return EachSent(e.sender, e.message, e.receiver, walk(e.body), e.time_var)
-        if isinstance(e, SomeSent):
-            return SomeSent(e.sender, e.message, e.receiver, walk(e.body), e.time_var)
-        if isinstance(e, Alw):
-            return Alw(walk(e.body))
-        if isinstance(e, Evt):
-            return Evt(walk(e.body))
         if isinstance(e, During):
-            tv = fresh.next()
+            tv = next(fresh)
             return Each(tv, TickDomain(e.interval), At(walk(e.body), TVar(tv)))
         if isinstance(e, Lasts):
             ivl = Interval(TNow(), tplus(TNow(), e.duration), True, True)
@@ -1344,15 +1298,13 @@ def desugar(expr: PropertyExpr) -> PropertyExpr:
         if isinstance(e, After):
             ivl = Interval(tplus(TNow(), e.duration), None, False, False)
             return walk(During(e.body, ivl))
-        if isinstance(e, At):
-            return At(walk(e.body), e.time)
         if isinstance(e, NfSet):
-            tv = fresh.next()
+            tv = next(fresh)
             if isinstance(e.target, ServersSet):
                 dom = NamedDomain("servers")
             else:
                 dom = MemberDomain(e.target.name)
             return Each(tv, dom, Atom("nf", (Var(tv),)))
-        raise TypeError(f"not a property expression: {e!r}")
+        return _map_children(walk, e)
 
     return walk(expr)

@@ -8,9 +8,12 @@ write -> read -> write is byte-identical.
 
 from __future__ import annotations
 
+import io
 import json
-from typing import IO
+from typing import IO, Optional
 
+from .adversary import AssumptionTarget, Demand, Schedule
+from .catalog import CatalogError, CatalogId
 from .machine import MachineError, SystemConfig
 from .temporal import ObservationState, Trace
 
@@ -61,12 +64,23 @@ def _header_config(line: int, header: dict) -> SystemConfig:
         raise TraceFormatError(line, f"bad config: {exc}") from None
 
 
-def _loop_start(line: int, header: dict):
-    loop_start = header.get("loop_start")
-    if loop_start is not None and type(loop_start) is not int:
-        raise TraceFormatError(line, f"loop_start must be an integer or null, "
-                                     f"got {loop_start!r}")
-    return loop_start
+def _header_target(line: int, header: dict):
+    record = header.get("target")
+    if record is not None and not isinstance(record, dict):
+        raise TraceFormatError(line, f"target must be an object or null, got {record!r}")
+    try:
+        return target_from_record(record)
+    except KeyError as exc:
+        raise TraceFormatError(line, f"target demand lacks {exc.args[0]!r}") from None
+    except (TypeError, ValueError, CatalogError) as exc:
+        raise TraceFormatError(line, f"bad target: {exc}") from None
+
+
+def _int_or_null(line: int, header: dict, key: str):
+    value = header.get(key)
+    if value is not None and type(value) is not int:
+        raise TraceFormatError(line, f"{key} must be an integer or null, got {value!r}")
+    return value
 
 
 def _plain(value):
@@ -115,6 +129,32 @@ def config_from_record(rec: dict) -> SystemConfig:
     )
 
 
+def target_record(target: Optional[AssumptionTarget]) -> Optional[dict]:
+    if target is None:
+        return None
+
+    def demand(d):
+        if d is None:
+            return None
+        return {"kind": d.prop.kind, "name": d.prop.name,
+                "params": list(d.prop.params), "mode": d.mode}
+    return {"link": demand(target.link), "server": demand(target.server)}
+
+
+def target_from_record(rec: Optional[dict]) -> Optional[AssumptionTarget]:
+    if rec is None:
+        return None
+
+    def demand(r):
+        if r is None:
+            return None
+        params = tuple(r["params"])
+        if not all(type(p) is int for p in params):
+            raise TypeError(f"params must be integers, got {r['params']!r}")
+        return Demand(CatalogId(r["kind"], r["name"], params), r["mode"])
+    return AssumptionTarget(demand(rec.get("link")), demand(rec.get("server")))
+
+
 def write_trace(trace: Trace, fp: IO[str]) -> None:
     header = {"kind": "header", "config": config_record(trace.config),
               "loop_start": trace.loop_start}
@@ -139,20 +179,16 @@ def read_trace(fp: IO[str]) -> Trace:
             raise TraceFormatError(n, f"state record lacks {exc.args[0]!r}") from None
         except TypeError as exc:
             raise TraceFormatError(n, f"bad state record: {exc}") from None
-    return Trace(states, config, loop_start=_loop_start(line, header))
+    return Trace(states, config, loop_start=_int_or_null(line, header, "loop_start"))
 
 
 def trace_to_text(trace: Trace) -> str:
-    import io
-
     buf = io.StringIO()
     write_trace(trace, buf)
     return buf.getvalue()
 
 
 def trace_from_text(text: str) -> Trace:
-    import io
-
     return read_trace(io.StringIO(text))
 
 
@@ -164,7 +200,7 @@ def write_schedule(schedule, fp: IO[str]) -> None:
         "kind": "schedule",
         "config": config_record(schedule.config),
         "seed": schedule.seed,
-        "target": schedule.target_record(),
+        "target": target_record(schedule.target),
         "loop_start": schedule.loop_start,
         "fault_plan": _plain(tuple(schedule.fault_plan)),
     }
@@ -173,12 +209,16 @@ def write_schedule(schedule, fp: IO[str]) -> None:
         fp.write(_dump({"kind": "step", "rank": rank}) + "\n")
 
 
-def read_schedule(fp: IO[str]):
-    from .adversary import Schedule
-
+def read_schedule(fp: IO[str]) -> Schedule:
     records = _records(fp, "schedule", "schedule", "step")
     line, header = records[0]
     config = _header_config(line, header)
+    fault_plan = header.get("fault_plan", [])
+    if not isinstance(fault_plan, list):
+        raise TraceFormatError(line, f"fault_plan must be a list, got {fault_plan!r}")
+    loop_start = _int_or_null(line, header, "loop_start")
+    seed = _int_or_null(line, header, "seed")
+    target = _header_target(line, header)
     steps = []
     for n, rec in records[1:]:
         rank = rec.get("rank")
@@ -188,8 +228,8 @@ def read_schedule(fp: IO[str]):
     return Schedule(
         config=config,
         steps=tuple(steps),
-        fault_plan=tuple(_frozen(x) for x in header.get("fault_plan", ())),
-        loop_start=_loop_start(line, header),
-        seed=header.get("seed"),
-        target=Schedule.target_from_record(header.get("target")),
+        fault_plan=tuple(_frozen(x) for x in fault_plan),
+        loop_start=loop_start,
+        seed=seed,
+        target=target,
     )

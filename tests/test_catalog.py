@@ -2,8 +2,8 @@ import pytest
 
 from livenesslab import catalog
 from livenesslab.catalog import (
-    ASSERTION_SINGLE, LINK, SERVER, CatalogId, MissingParameter,
-    UnknownProperty, assertion_multi, assertion_single, build,
+    ASSERTION_MULTI, ASSERTION_SINGLE, LINK, SERVER, CatalogId,
+    MissingParameter, UnknownProperty, assertion_multi, assertion_single, build,
     catalog_entries, hierarchy_edges, link_property, resolve_name,
     server_property,
 )
@@ -38,12 +38,27 @@ def test_parameter_validation():
 
 
 def test_build_dispatch_matches_constructors():
-    assert build(CatalogId(LINK, "Sure", (4,))) == link_property("Sure", D=4)
-    assert build(CatalogId(SERVER, "PQ-Extra-Dur", (1, 2))) == \
-        server_property("PQ-Extra-Dur", D1=1, D2=2)
-    assert build(CatalogId(ASSERTION_SINGLE, "Resp")) == assertion_single("Resp")
-    with pytest.raises(MissingParameter):
-        build(CatalogId(LINK, "Sure"))
+    constructors = {LINK: link_property, SERVER: server_property,
+                    ASSERTION_SINGLE: assertion_single,
+                    ASSERTION_MULTI: assertion_multi}
+    values = {"D": 4, "D1": 1, "D2": 2, "n": 3}
+    missing = {
+        (LINK, "Sure"): "Sure needs a delivery bound D",
+        (SERVER, "PQ-Dur"): "PQ-Dur needs a duration D",
+        (SERVER, "PQ-Extra-Dur"): "PQ-Extra-Dur needs durations D1 and D2",
+        **{(ASSERTION_MULTI, n): f"{n} needs the slot count n"
+           for n in ("Each-Vote", "Some-Learn", "Each-Learn", "Some-Exec",
+                     "Each-Exec")},
+    }
+    for cid, names, _text in catalog_entries():
+        kwargs = {k: values[k] for k in names}
+        full = CatalogId(cid.kind, cid.name, tuple(kwargs.values()))
+        assert build(full) == constructors[cid.kind](cid.name, **kwargs), full
+        if names:
+            with pytest.raises(MissingParameter) as exc:
+                build(cid)
+            assert str(exc.value) == missing.pop((cid.kind, cid.name))
+    assert not missing
 
 
 def test_catalog_entries_cover_everything():

@@ -1,6 +1,7 @@
 """Every invocation documented in the README runs here and must match its
 recorded output."""
 
+import hashlib
 import os
 
 import pytest
@@ -60,6 +61,20 @@ def test_spec_parse_documented_dump(capsys):
     )
 
 
+def test_spec_parse_catalog_golden_digest(capsys):
+    from livenesslab.catalog import CANONICAL_TEXT
+
+    params = ["--param", "D=2", "--param", "D1=1", "--param", "D2=3",
+              "--param", "n=2"]
+    digest = hashlib.sha256()
+    for text in CANONICAL_TEXT.values():
+        code, out, _err = run(capsys, "spec", "parse", text, *params)
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == \
+        "a2bf49b3c2aa9e33932b5381ddfccbb5f02b99dd059acbfce0656ca1338d09cd"
+
+
 def test_spec_print_with_param(capsys):
     code, out, _err = run(capsys, "spec", "print",
                           "each p1.sent m to p2 has (p2.received m from p1 after D)",
@@ -100,6 +115,20 @@ def test_simulate_documented_runs(tmp_path, capsys):
     with open(out_file) as fp:
         trace = read_trace(fp)
     assert trace.loop_start is not None
+
+
+def test_simulate_replays_its_schedule_once(tmp_path, capsys, monkeypatch):
+    from livenesslab import adversary
+
+    replays = []
+    replay = adversary.run_schedule
+    monkeypatch.setattr(adversary, "run_schedule",
+                        lambda schedule: replays.append(schedule) or replay(schedule))
+    code, _out, err = run(capsys, "simulate", "--target", "Fair,Alw-Q",
+                          "--seed", "7", "--out", str(tmp_path / "run.trace"))
+    assert code == 0
+    assert "Fair: wanted satisfy, got Holds" in err
+    assert len(replays) == 1
 
 
 def test_hierarchy_check_documented(tmp_path, capsys):
@@ -168,6 +197,16 @@ def test_catalog_reference_missing_its_parameter_is_named(tmp_path, capsys):
     code, _out, err = run(capsys, "trace", "check", str(lasso), "--property", "Sure")
     assert code == 2
     assert err.strip() == "error: Sure needs a delivery bound D"
+
+
+def test_trace_check_with_an_empty_spec_file_is_usage(tmp_path, capsys):
+    lasso = tmp_path / "raft.lasso"
+    run(capsys, "scenario", "raft-eachvote", "--out", str(lasso))
+    spec = tmp_path / "empty.lspec"
+    spec.write_text("# nothing but a comment\n")
+    code, out, err = run(capsys, "trace", "check", str(lasso), "--property", str(spec))
+    assert (code, out) == (2, "")
+    assert err.strip() == f"error: {spec} holds no property"
 
 
 def test_unreadable_or_malformed_trace_file_is_usage(tmp_path, capsys):

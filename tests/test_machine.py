@@ -11,7 +11,7 @@ from livenesslab.machine import (
     AcceptorPromise, AcceptorVote, ActionNotEnabled, Crash, DeliverMessage,
     DropMessage, InvalidQuorumSystem, Learn, ProposerSendAccept,
     StartLeaderElection, SystemConfig, apply_action, enabled, init,
-    make_config, observe, trace_of,
+    make_config, trace_of,
 )
 from livenesslab.scenarios import (
     paxos_complex_livelock_lasso, raft_eachvote_lasso,
@@ -87,7 +87,7 @@ def test_prepare_round_trip_and_learn():
     while votes < 2:
         st = drive(st, lambda a: isinstance(a, AcceptorVote))
         votes += 1
-    obs = observe(st)
+    obs = st.obs
     assert any(v[1] == (1, "p1") and v[3] == "v1" for v in obs.voted)
     # a quorum has voted; once the reports land, Learn becomes enabled
     for _ in range(4):
@@ -96,18 +96,18 @@ def test_prepare_round_trip_and_learn():
     learns = [a for a in enabled(st) if isinstance(a, Learn)]
     assert learns, enabled(st)
     st = apply_action(st, learns[0])
-    assert (learns[0].server, 1, "v1") in observe(st).learned
+    assert (learns[0].server, 1, "v1") in st.obs.learned
 
 
 def test_drop_removes_without_receipt():
     cfg = make_config(2, 3)
     st = init(cfg)
     st = drive(st, lambda a: isinstance(a, StartLeaderElection))
-    before = observe(st).received
+    before = st.obs.received
     target = sorted(st.pending)[0]
     st = apply_action(st, DropMessage(target))
     assert target not in st.pending
-    assert observe(st).received == before
+    assert st.obs.received == before
 
 
 def test_apply_rejects_disabled_action():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -221,6 +222,26 @@ def test_desugar_spec_rewrites():
     got = desugar(NfSet(Var("q")))
     assert isinstance(got, Each) and got.domain == MemberDomain("q")
     assert got.body == Atom("nf", (Var(got.var),))
+
+
+def test_rewrites_golden_digest():
+    """normalize_at and desugar output, fresh names included, is pinned."""
+    from livenesslab.catalog import CANONICAL_TEXT
+    from livenesslab.language import parse
+
+    params = {"D": 2, "D1": 1, "D2": 3, "n": 2}
+    exprs = [parse(text, params) for text in CANONICAL_TEXT.values()]
+    exprs += [random_expr(random.Random(k), depth=4) for k in range(2000)]
+    digest = hashlib.sha256()
+    for e in exprs:
+        norm = normalize_at(e)
+        digest.update(f"{norm!r}\n{desugar(e)!r}\n{desugar(norm)!r}\n".encode())
+    assert digest.hexdigest() == \
+        "ea225dda7410d68c9410612c351a8766656203c0a63f84650d9b8105c324cdbf"
+    for rewrite in (normalize_at, desugar):
+        with pytest.raises(TypeError) as exc:
+            rewrite(42)
+        assert str(exc.value) == "not a property expression: 42"
 
 
 def test_catalog_properties_never_undetermined_on_lassos():

@@ -112,3 +112,27 @@ def test_malformed_schedule_files_name_the_line():
         read_schedule(io.StringIO("\n".join(lines)))
     with pytest.raises(TraceFormatError, match="line 1: bad JSON"):
         read_schedule(io.StringIO("{" + "\n".join(lines)))
+
+    header = json.loads(lines[0])
+    link = header["target"]["link"]
+    header_cases = [
+        ({"target": [1]}, "target must be an object or null, got [1]"),
+        ({"fault_plan": 5}, "fault_plan must be a list, got 5"),
+        ({"seed": "x"}, "seed must be an integer or null, got 'x'"),
+        ({"target": {"link": {k: v for k, v in link.items() if k != "name"}}},
+         "target demand lacks 'name'"),
+        ({"target": {"link": {**link, "name": "Nope"}}},
+         "bad target: 'Nope' is not a link property"),
+        ({"target": {"link": {**link, "mode": "maybe"}}},
+         "bad target: bad mode 'maybe'"),
+        ({"target": {"link": {**link, "params": ["2"]}}},
+         "bad target: params must be integers, got ['2']"),
+        ({"target": {"server": link}},
+         "bad target: server demand must name a server assumption"),
+    ]
+    for change, message in header_cases:
+        text = "\n".join([json.dumps({**header, **change})] + lines[1:])
+        with pytest.raises(TraceFormatError) as exc:
+            read_schedule(io.StringIO(text))
+        assert exc.value.line == 1
+        assert str(exc.value) == f"line 1: {message}"

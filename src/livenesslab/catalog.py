@@ -8,6 +8,7 @@ text yields, so the two routes cross-check each other in the test suite.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,26 +51,19 @@ _PARAM_NAMES = {
 }
 
 
-def _canon(name: str) -> str:
-    return name.replace("_", "-").replace(" ", "-").lower()
+def _key(name: str) -> str:
+    """``name`` lowercased, without dashes, underscores or spaces."""
+    return re.sub(r"[-_ ]", "", name).lower()
 
 
-_ALIASES = {_canon(n): n for n in LINK_NAMES + SERVER_NAMES + ASSERTION_NAMES}
-_ALIASES.update({
-    "alwq": "Alw-Q", "qalw": "Q-Alw", "palwq": "P-Alw-Q", "pqalw": "PQ-Alw",
-    "pqdur": "PQ-Dur", "pqextradur": "PQ-Extra-Dur", "eachvote": "Each-Vote",
-    "somelearn": "Some-Learn", "eachlearn": "Each-Learn", "someexec": "Some-Exec",
-    "eachexec": "Each-Exec",
-})
+_ALIASES = {_key(n): n for n in LINK_NAMES + SERVER_NAMES + ASSERTION_NAMES}
 
 
 def resolve_name(name: str) -> str:
-    key = _canon(name)
-    if key in _ALIASES:
-        return _ALIASES[key]
-    if key.replace("-", "") in _ALIASES:
-        return _ALIASES[key.replace("-", "")]
-    raise UnknownProperty(f"no property named {name!r}")
+    try:
+        return _ALIASES[_key(name)]
+    except KeyError:
+        raise UnknownProperty(f"no property named {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -145,12 +139,16 @@ def server_property(name: str, D: Optional[int] = None,
     if name == "PQ-Dur":
         if D is None:
             raise MissingParameter("PQ-Dur needs a duration D")
+        if D < 0:
+            raise MissingParameter("the duration D must be non-negative")
         body = Lasts(And(_p_up_and_primary(), NfSet(Var("q"))), D)
         return Evt(Some("p", NamedDomain("servers"),
                         Some("q", NamedDomain("quorums"), body)))
     if name == "PQ-Extra-Dur":
         if D1 is None or D2 is None:
             raise MissingParameter("PQ-Extra-Dur needs durations D1 and D2")
+        if D1 < 0 or D2 < 0:
+            raise MissingParameter("the durations D1 and D2 must be non-negative")
         t = TVar("t")
         whole = Interval(t, tplus(t, D1 + D2), True, True)
         late = Interval(tplus(t, D1), tplus(t, D1 + D2), True, True)

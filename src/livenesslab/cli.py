@@ -69,18 +69,19 @@ def _ast_dump(expr: PropertyExpr, indent: int = 0) -> str:
 
 def _read_spec(path: str, params: dict) -> Optional[dict]:
     """The named properties of the `.lspec` file at ``path``, or None when
-    there is no such file."""
+    there is no such file; a file that names none is a usage error."""
     if not os.path.exists(path):
         return None
     with open(path) as fp:
-        return parse_blocks(fp.read(), params)
+        blocks = parse_blocks(fp.read(), params)
+    if not blocks:
+        raise ValueError(f"{path} holds no property")
+    return blocks
 
 
 def _load_property(ref: str, params: dict):
     blocks = _read_spec(ref, params)
     if blocks is not None:
-        if not blocks:
-            raise ValueError(f"{ref} holds no property")
         return next(iter(blocks.items()))
     try:
         cid = parse_property_ref(ref)
@@ -155,7 +156,7 @@ def main(argv: Optional[list] = None) -> int:
     try:
         return _dispatch(args)
     except SpecSyntaxError as exc:
-        print(f"syntax error at {exc.span.line}:{exc.span.column}: {exc}",
+        print(f"syntax error at {exc.span.line}:{exc.span.column}: {exc.reason}",
               file=sys.stderr)
         return USAGE
     except (LanguageError, catalog.CatalogError, TemporalError, ValueError,
@@ -272,11 +273,10 @@ def _dispatch(args) -> int:
         else:
             rows = [checker.explore(config, x, max_states=args.max_states)
                     for x in args.start]
-        for run in rows:
-            print(f"start={run.stable_start} length={run.stable_length} "
-                  f"states={run.states_generated} "
-                  f"distinct_states={run.distinct_states} "
-                  f"seconds={run.elapsed_seconds:.3f}")
+        _emit(args, "\n".join(
+            f"start={run.stable_start} length={run.stable_length} "
+            f"states={run.states_generated} distinct_states={run.distinct_states} "
+            f"seconds={run.elapsed_seconds:.3f}" for run in rows))
         if args.csv:
             with open(args.csv, "w") as fp:
                 fp.write("start,length,states,distinct_states,seconds\n")
@@ -301,7 +301,7 @@ def _dispatch(args) -> int:
                          f"{status:16} {wit}")
             bad += len(rep.violations)
         table = "\n".join(lines)
-        print(table)
+        _emit(args, table)
         if args.report:
             records = [
                 json.dumps({

@@ -6,6 +6,9 @@ postfix operators during/lasts/after/at bind tightest.  A quantifier is
 allowed directly after a prefix operator or a binary connective and then
 swallows the rest of the expression.
 
+The atoms' written forms (``temporal.ATOM_FORMS``) and the operator tables
+below are the one description of the syntax that both directions read.
+
 Named durations and bounds (D, D1, D2, n) are resolved at parse time from a
 caller-supplied binding environment.
 """
@@ -17,10 +20,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .temporal import (
-    After, Alw, And, Atom, At, Const, During, Each, EachSent, Evt, FalseE,
-    Implies, Interval, Lasts, MemberDomain, NamedDomain, NfSet, Not, Or,
-    PropertyExpr, ServersEq, ServersSet, SlotRange, Some, SomeSent, TickDomain,
-    TLit, TNow, TPlus, TVar, TimeTerm, TrueE, Var, check_scoped, tplus,
+    ATOM_FORMS, After, Alw, And, Atom, At, Const, During, Each, EachSent, Evt,
+    FalseE, Implies, Interval, Lasts, MemberDomain, NamedDomain, NfSet, Not,
+    Or, PropertyExpr, ServersEq, ServersSet, SlotRange, Some, SomeSent,
+    TickDomain, TLit, TNow, TPlus, TVar, TimeTerm, TrueE, Var, check_scoped,
+    tplus,
 )
 
 
@@ -45,10 +49,8 @@ class SpecSyntaxError(LanguageError):
         self.span = span
         self.expected = tuple(expected)
         self.found = found
-        super().__init__(
-            f"line {span.line}:{span.column}: expected {' or '.join(self.expected)}, "
-            f"found {found!r}"
-        )
+        self.reason = f"expected {' or '.join(self.expected)}, found {found!r}"
+        super().__init__(f"line {span.line}:{span.column}: {self.reason}")
 
 
 class UnknownDomain(LanguageError):
@@ -118,6 +120,69 @@ def _span_at(text: str, start: int, end: int) -> SourceSpan:
     return SourceSpan(start, end, line, col)
 
 
+def _time_text(t: TimeTerm) -> str:
+    if isinstance(t, TLit):
+        return str(t.value)
+    if isinstance(t, TVar):
+        return t.name
+    if isinstance(t, TNow):
+        return "."
+    if isinstance(t, TPlus):
+        return f"{_time_text(t.base)}+{t.offset}"
+    raise TypeError(f"not a time term: {t!r}")
+
+
+def _interval_text(ivl: Interval) -> str:
+    lo = "[" if ivl.lo_closed else "("
+    hi_txt = "inf" if ivl.hi is None else _time_text(ivl.hi)
+    hi = "]" if ivl.hi is not None and ivl.hi_closed else ")"
+    return f"{lo}{_time_text(ivl.lo)},{hi_txt}{hi}"
+
+
+def _term_text(term) -> str:
+    if isinstance(term, Var):
+        return term.name
+    if isinstance(term, Const):
+        if isinstance(term.value, int):
+            return str(term.value)
+        return f"'{term.value}'"
+    raise TypeError(f"not a term: {term!r}")
+
+
+# ---------------------------------------------------------------------------
+# the syntax tables, read by the parser and the printer
+
+def _atom_pattern(written: str) -> tuple:
+    """An atom's written form as tokens: token texts to match, and ints for
+    the argument positions."""
+    items = []
+    for k, part in enumerate(re.split(r"\{(\d)\}", written)):
+        items += [int(part)] if k % 2 else [tok.text for tok in _tokenize(part)[:-1]]
+    return tuple(items)
+
+
+#: (atom name, arity) -> its written form's tokens after the head argument
+_ATOM_PATTERNS = {key: _atom_pattern(form.written)[1:] for key, form in ATOM_FORMS.items()}
+
+#: prefix operators; each may be followed directly by a quantifier
+_PREFIX = {"not": Not, "evt": Evt, "alw": Alw}
+
+#: binary connectives, weakest first: (word, node class, right-associative)
+_BINARY = (("implies", Implies, True), ("or", Or, False), ("and", And, False))
+
+#: postfix operators: word -> (node class, operand field, the _Parser
+#: method reading the operand, the function writing it)
+_POSTFIX = {
+    "during": (During, "interval", "interval", _interval_text),
+    "lasts": (Lasts, "duration", "int_or_param", str),
+    "after": (After, "duration", "int_or_param", str),
+    "at": (At, "time", "time_term", _time_text),
+}
+
+# printing precedences: a quantifier, then the binary levels, then the rest
+_PREC_QUANT, _PREC_UNARY, _PREC_POSTFIX = 0, len(_BINARY) + 1, len(_BINARY) + 2
+
+
 class _Parser:
     def __init__(self, text: str, params: Optional[dict] = None):
         self.text = text
@@ -152,6 +217,17 @@ class _Parser:
     def at_quantifier(self) -> bool:
         return self.peek().text in ("each", "some")
 
+    def param(self, tok: _Tok) -> int:
+        """The value bound to the parameter ``tok`` names; durations, slot
+        counts and tick offsets are never negative."""
+        if tok.text not in self.params:
+            raise UnboundParameter(tok.text)
+        value = int(self.params[tok.text])
+        if value < 0:
+            raise LanguageError(f"line {tok.span.line}:{tok.span.column}: parameter "
+                                f"{tok.text!r} is bound to {value}, not a non-negative integer")
+        return value
+
     # --- entry ------------------------------------------------------------
     def parse(self) -> PropertyExpr:
         expr = self.expr()
@@ -165,7 +241,7 @@ class _Parser:
     def expr(self) -> PropertyExpr:
         if self.at_quantifier():
             return self.quantified()
-        return self.implies_level()
+        return self.binary(0)
 
     def quantified(self) -> PropertyExpr:
         kind = self.next().text
@@ -198,13 +274,6 @@ class _Parser:
         return body
 
     def binder(self):
-        tok = self.peek()
-        if tok.kind == "int":
-            # slot range: 1..n
-            self.next()
-            if tok.text != "1":
-                raise SpecSyntaxError(tok.span, ("'1' (slot ranges start at 1)",), tok.text)
-            raise SpecSyntaxError(tok.span, ("a binder variable",), tok.text)
         var = self.expect_ident("a binder variable").text
         self.expect("in")
         dom = self.domain(var)
@@ -244,9 +313,7 @@ class _Parser:
             return int(tok.text)
         if tok.kind == "ident" and tok.text not in _KEYWORDS:
             self.next()
-            if tok.text not in self.params:
-                raise UnboundParameter(tok.text)
-            return int(self.params[tok.text])
+            return self.param(tok)
         raise SpecSyntaxError(tok.span, ("an integer", "a parameter name"), tok.text)
 
     def interval(self) -> Interval:
@@ -293,76 +360,40 @@ class _Parser:
             return TNow()
         if tok.kind == "ident" and tok.text not in _KEYWORDS:
             self.next()
-            if tok.text in self.time_vars:
-                return TVar(tok.text)
-            if tok.text in self.params:
-                return TLit(int(self.params[tok.text]))
+            if tok.text not in self.time_vars and tok.text in self.params:
+                return TLit(self.param(tok))
             # a variable bound by an enclosing tick quantifier that the
             # scope checker will confirm
             return TVar(tok.text)
         raise SpecSyntaxError(tok.span, ("a time term",), tok.text or "end of input")
 
-    def implies_level(self) -> PropertyExpr:
-        left = self.or_level()
-        if self.peek().text == "implies":
+    def binary(self, level: int) -> PropertyExpr:
+        if level == len(_BINARY):
+            return self.unary()
+        word, cls, right_assoc = _BINARY[level]
+        left = self.binary(level + 1)
+        while self.peek().text == word:
             self.next()
             if self.at_quantifier():
-                return Implies(left, self.quantified())
-            return Implies(left, self.implies_level())
-        return left
-
-    def or_level(self) -> PropertyExpr:
-        left = self.and_level()
-        while self.peek().text == "or":
-            self.next()
-            if self.at_quantifier():
-                return Or(left, self.quantified())
-            left = Or(left, self.and_level())
-        return left
-
-    def and_level(self) -> PropertyExpr:
-        left = self.unary()
-        while self.peek().text == "and":
-            self.next()
-            if self.at_quantifier():
-                return And(left, self.quantified())
-            left = And(left, self.unary())
+                return cls(left, self.quantified())
+            if right_assoc:
+                return cls(left, self.binary(level))
+            left = cls(left, self.binary(level + 1))
         return left
 
     def unary(self) -> PropertyExpr:
-        tok = self.peek()
-        if tok.text == "not":
-            self.next()
-            if self.at_quantifier():
-                return Not(self.quantified())
-            return Not(self.unary())
-        if tok.text in ("evt", "alw"):
-            self.next()
-            if self.at_quantifier():
-                body = self.quantified()
-            else:
-                body = self.unary()
-            return Evt(body) if tok.text == "evt" else Alw(body)
-        return self.postfix()
+        cls = _PREFIX.get(self.peek().text)
+        if cls is None:
+            return self.postfix()
+        self.next()
+        return cls(self.quantified() if self.at_quantifier() else self.unary())
 
     def postfix(self) -> PropertyExpr:
         expr = self.primary()
-        while True:
-            tok = self.peek()
-            if tok.text == "during":
-                self.next()
-                expr = During(expr, self.interval())
-            elif tok.text == "lasts":
-                self.next()
-                expr = Lasts(expr, self.int_or_param())
-            elif tok.text == "after":
-                self.next()
-                expr = After(expr, self.int_or_param())
-            elif tok.text == "at":
-                self.next()
-                expr = At(expr, self.time_term())
-            else:
-                return expr
+        while self.peek().text in _POSTFIX:
+            cls, _field, read, _write = _POSTFIX[self.next().text]
+            expr = cls(expr, getattr(self, read)())
+        return expr
 
     def primary(self) -> PropertyExpr:
         tok = self.peek()
@@ -392,108 +423,59 @@ class _Parser:
                 t2 = self.time_term()
                 return ServersEq(t1, t2)
             raise SpecSyntaxError(nxt.span, ("nf", "at"), nxt.text)
-        if tok.kind in ("ident", "str") and tok.text not in _KEYWORDS:
-            return self.process_form()
-        raise SpecSyntaxError(
-            tok.span,
-            ("'('", "true", "false", "an atom"),
-            tok.text or "end of input",
-        )
-
-    def _term(self) -> "Var | Const":
-        tok = self.peek()
-        if tok.kind == "str":
-            self.next()
-            return Const(tok.text[1:-1])
-        if tok.kind == "int":
-            self.next()
-            return Const(int(tok.text))
-        ident = self.expect_ident("an argument").text
-        return Var(ident)
-
-    def process_form(self) -> PropertyExpr:
-        head = self._term()
-        tok = self.peek()
-        if tok.text == "nf":
+        head = _term_of(tok)
+        if head is None or tok.kind == "int":
+            raise SpecSyntaxError(
+                tok.span,
+                ("'('", "true", "false", "an atom"),
+                tok.text or "end of input",
+            )
+        self.next()
+        nf = self.peek()
+        if nf.text == "nf":
             self.next()
             if isinstance(head, Const):
-                raise SpecSyntaxError(tok.span, ("a set variable before nf",), tok.text)
+                raise SpecSyntaxError(nf.span, ("a set variable before nf",), nf.text)
             return NfSet(head)
-        self.expect(".")
-        field = self.next()
-        if field.text == "nf":
-            return Atom("nf", (head,))
-        if field.text == "is_primary":
-            return Atom("is_primary", (head,))
-        if field.text == "sent":
-            if self.peek().text == "(":
-                return self.client_message("sent", head)
-            msg = self._term()
-            self.expect("to")
-            other = self._term()
-            return Atom("sent", (head, msg, other))
-        if field.text == "received":
-            if self.peek().text == "(":
-                return self.client_message("received", head)
-            msg = self._term()
-            self.expect("from")
-            other = self._term()
-            return Atom("received", (head, msg, other))
-        if field.text in ("voted", "learned", "executed"):
-            args = self.fact_args()
-            arity = {"voted": (2, 3), "learned": (1, 2), "executed": (1, 2)}[field.text]
-            if len(args) not in arity:
-                raise SpecSyntaxError(
-                    field.span,
-                    (f"{field.text} with {' or '.join(map(str, arity))} arguments",),
-                    f"{len(args)} arguments",
-                )
-            return Atom(field.text, (head,) + args)
-        raise SpecSyntaxError(
-            field.span,
-            ("nf", "is_primary", "sent", "received", "voted", "learned", "executed"),
-            field.text or "end of input",
-        )
+        return self.atom(head)
 
-    def fact_args(self) -> tuple:
-        self.expect("(")
-        args = [self._term()]
-        while self.peek().text == ",":
-            self.next()
-            args.append(self._term())
-        self.expect(")")
-        return tuple(args)
+    def atom(self, head) -> Atom:
+        """The atom whose written form the tokens after ``head`` spell."""
+        start = self.pos
+        failures = []    # (token position, the pattern item not matched there)
+        for (name, arity), pattern in _ATOM_PATTERNS.items():
+            self.pos = start
+            args = {0: head}
+            for item in pattern:
+                tok = self.peek()
+                if isinstance(item, str):
+                    matched = tok.text == item
+                else:
+                    term = _term_of(tok)
+                    matched = term is not None and args.setdefault(item, term) == term
+                if not matched:
+                    failures.append((self.pos, item))
+                    break
+                self.next()
+            else:
+                return Atom(name, tuple(args[k] for k in range(arity)))
+        self.pos = max(pos for pos, _item in failures)
+        tok = self.peek()
+        expected = dict.fromkeys(
+            repr(item) if isinstance(item, str) else "an argument"
+            for pos, item in failures if pos == self.pos)
+        raise SpecSyntaxError(tok.span, expected, tok.text or "end of input")
 
-    def client_message(self, direction: str, head) -> PropertyExpr:
-        self.expect("(")
-        tag = self.peek()
-        if tag.kind != "str":
-            raise SpecSyntaxError(tag.span, ("'req'", "'resp'"), tag.text)
-        self.next()
-        tag_text = tag.text[1:-1]
-        self.expect(",")
-        value = self._term()
-        has_res = False
-        if self.peek().text == ",":
-            self.next()
-            self.expect("res")
-            self.expect("(")
-            res_arg = self._term()
-            self.expect(")")
-            if res_arg != value:
-                raise SpecSyntaxError(
-                    tag.span, ("res applied to the requested value",), repr(res_arg))
-            has_res = True
-        self.expect(")")
-        if direction == "sent":
-            if tag_text != "req" or has_res:
-                raise SpecSyntaxError(tag.span, ("'req'",), tag.text)
-            return Atom("sent_req", (head, value))
-        if tag_text != "resp":
-            raise SpecSyntaxError(tag.span, ("'resp'",), tag.text)
-        if has_res:
-            return Atom("received_resp_res", (head, value))
-        return Atom("received_resp", (head, value))
+
+def _term_of(tok: _Tok) -> "Var | Const | None":
+    """The atom argument ``tok`` spells, or None."""
+    if tok.kind == "str":
+        return Const(tok.text[1:-1])
+    if tok.kind == "int":
+        return Const(int(tok.text))
+    if tok.kind == "ident" and tok.text not in _KEYWORDS:
+        return Var(tok.text)
+    return None
 
 
 def parse(text: str, params: Optional[dict] = None) -> PropertyExpr:
@@ -509,14 +491,11 @@ _BLOCK_RE = re.compile(
 def parse_blocks(text: str, params: Optional[dict] = None) -> dict:
     """Parse a `.lspec` file of `Name = expr` / `Name(P,..) = expr` blocks.
 
-    Blank lines and lines starting with `#` are skipped.  A file holding a
-    single bare expression parses to the name ``property``.
+    Blank lines and lines starting with `#` are skipped.  A line holding a
+    bare expression parses to the name ``property``.
     """
     out = {}
     lines = [l for l in text.splitlines() if l.strip() and not l.lstrip().startswith("#")]
-    if len(lines) == 1 and not _BLOCK_RE.match(lines[0]):
-        out["property"] = parse(lines[0], params)
-        return out
     for line in lines:
         m = _BLOCK_RE.match(line)
         if not m:
@@ -533,43 +512,6 @@ def parse_blocks(text: str, params: Optional[dict] = None) -> dict:
 # ---------------------------------------------------------------------------
 # canonical printer
 
-_PREC_QUANT = 0
-_PREC_IMPLIES = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_UNARY = 4
-_PREC_POSTFIX = 5
-
-
-def _time_text(t: TimeTerm) -> str:
-    if isinstance(t, TLit):
-        return str(t.value)
-    if isinstance(t, TVar):
-        return t.name
-    if isinstance(t, TNow):
-        return "."
-    if isinstance(t, TPlus):
-        return f"{_time_text(t.base)}+{t.offset}"
-    raise TypeError(f"not a time term: {t!r}")
-
-
-def _interval_text(ivl: Interval) -> str:
-    lo = "[" if ivl.lo_closed else "("
-    hi_txt = "inf" if ivl.hi is None else _time_text(ivl.hi)
-    hi = "]" if ivl.hi is not None and ivl.hi_closed else ")"
-    return f"{lo}{_time_text(ivl.lo)},{hi_txt}{hi}"
-
-
-def _term_text(term) -> str:
-    if isinstance(term, Var):
-        return term.name
-    if isinstance(term, Const):
-        if isinstance(term.value, int):
-            return str(term.value)
-        return f"'{term.value}'"
-    raise TypeError(f"not a term: {term!r}")
-
-
 def _domain_text(dom) -> str:
     if isinstance(dom, NamedDomain):
         return dom.name
@@ -580,6 +522,12 @@ def _domain_text(dom) -> str:
     if isinstance(dom, TickDomain):
         return _interval_text(dom.interval)
     raise TypeError(f"not a printable domain: {dom!r}")
+
+
+_PREFIX_WORD = {cls: word for word, cls in _PREFIX.items()}
+_BINARY_OP = {cls: (word, prec, right_assoc)
+              for prec, (word, cls, right_assoc) in enumerate(_BINARY, _PREC_QUANT + 1)}
+_POSTFIX_OP = {cls: (word, field, write) for word, (cls, field, _read, write) in _POSTFIX.items()}
 
 
 def print_expr(expr: PropertyExpr) -> str:
@@ -602,7 +550,10 @@ def print_expr(expr: PropertyExpr) -> str:
         if isinstance(e, FalseE):
             return "false", _PREC_POSTFIX
         if isinstance(e, Atom):
-            return atom_text(e), _PREC_POSTFIX
+            form = ATOM_FORMS.get((e.name, len(e.args)))
+            if form is None:
+                raise TypeError(f"unknown atom {e.name!r} of arity {len(e.args)}")
+            return form.written.format(*map(_term_text, e.args)), _PREC_POSTFIX
         if isinstance(e, NfSet):
             if isinstance(e.target, ServersSet):
                 return "servers nf", _PREC_POSTFIX
@@ -612,86 +563,38 @@ def print_expr(expr: PropertyExpr) -> str:
                 f"servers at {_time_text(e.t1)} = servers at {_time_text(e.t2)}",
                 _PREC_POSTFIX,
             )
-        if isinstance(e, Not):
-            return f"not {group(e.body, _PREC_UNARY, tail)}", _PREC_UNARY
-        if isinstance(e, And):
-            left = group(e.left, _PREC_AND, False)
-            return f"{left} and {group(e.right, _PREC_AND + 1, tail)}", _PREC_AND
-        if isinstance(e, Or):
-            left = group(e.left, _PREC_OR, False)
-            return f"{left} or {group(e.right, _PREC_OR + 1, tail)}", _PREC_OR
-        if isinstance(e, Implies):
-            left = group(e.left, _PREC_IMPLIES + 1, False)
-            right = group(e.right, _PREC_IMPLIES, tail)
-            return f"{left} implies {right}", _PREC_IMPLIES
-        if isinstance(e, (Each, Some)):
-            kind = "each" if isinstance(e, Each) else "some"
-            binders = [(e.var, e.domain)]
+        if type(e) in _PREFIX_WORD:
+            text, prec = render(e.body, tail)
+            # evt and alw take a quantified body bare; not parenthesizes it
+            if prec < _PREC_UNARY and (prec != _PREC_QUANT or isinstance(e, Not)):
+                text = f"({text})"
+            return f"{_PREFIX_WORD[type(e)]} {text}", _PREC_UNARY
+        if type(e) in _BINARY_OP:
+            word, prec, right_assoc = _BINARY_OP[type(e)]
+            left_prec, right_prec = (prec + 1, prec) if right_assoc else (prec, prec + 1)
+            left = group(e.left, left_prec, False)
+            return f"{left} {word} {group(e.right, right_prec, tail)}", prec
+        if isinstance(e, (Each, Some, EachSent, SomeSent)):
+            kind = "each" if isinstance(e, (Each, EachSent)) else "some"
             body = e.body
-            while isinstance(body, type(e)) and not isinstance(body.domain, TickDomain):
-                if isinstance(binders[-1][1], TickDomain):
-                    break
-                binders.append((body.var, body.domain))
-                body = body.body
-            btxt = ", ".join(f"{v} in {_domain_text(d)}" for v, d in binders)
-            text = f"{kind} {btxt} has {group(body, _PREC_QUANT, True)}"
+            if isinstance(e, (EachSent, SomeSent)):
+                head = f"{e.sender}.sent {e.message} to {e.receiver}"
+            else:
+                binders = [(e.var, e.domain)]
+                while (isinstance(body, type(e)) and not isinstance(body.domain, TickDomain)
+                       and not isinstance(binders[-1][1], TickDomain)):
+                    binders.append((body.var, body.domain))
+                    body = body.body
+                head = ", ".join(f"{v} in {_domain_text(d)}" for v, d in binders)
+            text = f"{kind} {head} has {group(body, _PREC_QUANT, True)}"
             if not tail:
                 return f"({text})", _PREC_POSTFIX
             return text, _PREC_QUANT
-        if isinstance(e, (EachSent, SomeSent)):
-            kind = "each" if isinstance(e, EachSent) else "some"
-            text = (f"{kind} {e.sender}.sent {e.message} to {e.receiver} has "
-                    f"{group(e.body, _PREC_QUANT, True)}")
-            if not tail:
-                return f"({text})", _PREC_POSTFIX
-            return text, _PREC_QUANT
-        if isinstance(e, Alw):
-            return f"alw {prefix_body(e.body, tail)}", _PREC_UNARY
-        if isinstance(e, Evt):
-            return f"evt {prefix_body(e.body, tail)}", _PREC_UNARY
-        if isinstance(e, During):
-            return (
-                f"{group(e.body, _PREC_POSTFIX, False)} during {_interval_text(e.interval)}",
-                _PREC_POSTFIX,
-            )
-        if isinstance(e, Lasts):
-            return (f"{group(e.body, _PREC_POSTFIX, False)} lasts {e.duration}",
-                    _PREC_POSTFIX)
-        if isinstance(e, After):
-            return (f"{group(e.body, _PREC_POSTFIX, False)} after {e.duration}",
-                    _PREC_POSTFIX)
-        if isinstance(e, At):
-            return (f"{group(e.body, _PREC_POSTFIX, False)} at {_time_text(e.time)}",
+        if type(e) in _POSTFIX_OP:
+            word, field, write = _POSTFIX_OP[type(e)]
+            return (f"{group(e.body, _PREC_POSTFIX, False)} {word} {write(getattr(e, field))}",
                     _PREC_POSTFIX)
         raise TypeError(f"not a printable expression: {e!r}")
-
-    def prefix_body(body, tail: bool) -> str:
-        text, prec = render(body, tail)
-        if prec in (_PREC_QUANT, _PREC_UNARY, _PREC_POSTFIX):
-            return text
-        return f"({text})"
-
-    def atom_text(a: Atom) -> str:
-        args = a.args
-        if a.name == "nf":
-            return f"{_term_text(args[0])}.nf"
-        if a.name == "is_primary":
-            return f"{_term_text(args[0])}.is_primary"
-        if a.name == "sent":
-            return f"{_term_text(args[0])}.sent {_term_text(args[1])} to {_term_text(args[2])}"
-        if a.name == "received":
-            return f"{_term_text(args[0])}.received {_term_text(args[1])} from {_term_text(args[2])}"
-        if a.name in ("voted", "learned", "executed"):
-            inner = ",".join(_term_text(x) for x in args[1:])
-            return f"{_term_text(args[0])}.{a.name} ({inner})"
-        if a.name == "sent_req":
-            return f"{_term_text(args[0])}.sent ('req',{_term_text(args[1])})"
-        if a.name == "received_resp":
-            return f"{_term_text(args[0])}.received ('resp',{_term_text(args[1])})"
-        if a.name == "received_resp_res":
-            v = _term_text(args[1])
-            return f"{_term_text(args[0])}.received ('resp',{v},res({v}))"
-        raise TypeError(f"unknown atom {a.name!r}")
 
     check_scoped(expr)
     text, _prec = render(expr, True)

@@ -210,9 +210,6 @@ class MachineState:
     def prop_round_of(self, p: str) -> Optional[tuple]:
         return dict(self.prop_round)[p]
 
-    def maxbal_of(self, a: str) -> Optional[tuple]:
-        return dict(self.acc_maxbal)[a]
-
 
 def init(config: SystemConfig) -> MachineState:
     """Fresh machine: tick 0, all processes non-faulty, no messages."""

@@ -238,10 +238,6 @@ class Trace:
         return len(self.states)
 
     @property
-    def is_lasso(self) -> bool:
-        return self.loop_start is not None
-
-    @property
     def period(self) -> Optional[int]:
         if self.loop_start is None:
             return None
@@ -316,16 +312,37 @@ Term = Union[Var, Const]
 
 @dataclass(frozen=True)
 class Atom:
-    """Observation predicate; arity picks the single- or multi-value form.
-
-    nf(p) / is_primary(p) / sent(p1,m,p2) / received(p2,m,p1) /
-    voted(p,r,v) voted(p,r,s,v) / learned(p,v) learned(p,s,v) /
-    executed(p,v) executed(p,s,v) / sent_req(c,v) / received_resp(c,v) /
-    received_resp_res(c,v)
-    """
+    """Observation predicate; ``ATOM_FORMS`` lists every (name, arity)."""
 
     name: str
     args: tuple
+
+
+class AtomForm(NamedTuple):
+    written: str   # concrete syntax, ``{k}`` standing for argument k
+    column: str    # the per-tick state column the atom looks up
+    key: tuple     # the argument positions forming the lookup key
+
+
+#: (atom name, arity) -> how the atom is written and evaluated; an arity
+#: picks the single- or multi-value form.  res(v) is the deterministic
+#: result of executing v, and traces record it as the value itself.
+ATOM_FORMS = {
+    ("nf", 1): AtomForm("{0}.nf", "nf_procs", (0,)),
+    ("is_primary", 1): AtomForm("{0}.is_primary", "primaries", (0,)),
+    ("sent", 3): AtomForm("{0}.sent {1} to {2}", "sent", (0, 1, 2)),
+    ("received", 3): AtomForm("{0}.received {1} from {2}", "received", (0, 1, 2)),
+    ("voted", 3): AtomForm("{0}.voted ({1},{2})", "voted3", (0, 1, 2)),
+    ("voted", 4): AtomForm("{0}.voted ({1},{2},{3})", "voted", (0, 1, 2, 3)),
+    ("learned", 2): AtomForm("{0}.learned ({1})", "learned2", (0, 1)),
+    ("learned", 3): AtomForm("{0}.learned ({1},{2})", "learned", (0, 1, 2)),
+    ("executed", 2): AtomForm("{0}.executed ({1})", "executed2", (0, 1)),
+    ("executed", 3): AtomForm("{0}.executed ({1},{2})", "executed", (0, 1, 2)),
+    ("sent_req", 2): AtomForm("{0}.sent ('req',{1})", "requested", (0, 1)),
+    ("received_resp", 2): AtomForm("{0}.received ('resp',{1})", "responded2", (0, 1)),
+    ("received_resp_res", 2):
+        AtomForm("{0}.received ('resp',{1},res({1}))", "responded", (0, 1, 1)),
+}
 
 
 @dataclass(frozen=True)
@@ -630,23 +647,6 @@ _COLUMNS = {
     "servers": _sorted_rosters,
     "servers_nf": lambda states: [st.nf_procs.issuperset(st.roster) for st in states],
 }
-
-#: atom name -> {arity: (column, the argument positions forming the lookup key)}
-_ATOMS = {
-    "nf": {1: ("nf_procs", (0,))},
-    "is_primary": {1: ("primaries", (0,))},
-    "sent": {3: ("sent", (0, 1, 2))},
-    "received": {3: ("received", (0, 1, 2))},
-    "voted": {4: ("voted", (0, 1, 2, 3)), 3: ("voted3", (0, 1, 2))},
-    "learned": {3: ("learned", (0, 1, 2)), 2: ("learned2", (0, 1))},
-    "executed": {3: ("executed", (0, 1, 2)), 2: ("executed2", (0, 1))},
-    "sent_req": {2: ("requested", (0, 1))},
-    "received_resp": {2: ("responded2", (0, 1))},
-    # res(v) is the deterministic result of executing v; traces record it
-    # as the value itself
-    "received_resp_res": {2: ("responded", (0, 1, 1))},
-}
-
 
 def _config_values(config, name: str) -> list:
     try:
@@ -976,9 +976,9 @@ class _Compiler:
 
     def atom(self, e: Atom, scope, depth):
         args = [self.term(a, scope) for a in e.args]
-        form = _ATOMS.get(e.name, {}).get(len(args))
+        form = ATOM_FORMS.get((e.name, len(args)))
         if form is None:
-            if e.name in _ATOMS:
+            if any(name == e.name for name, _arity in ATOM_FORMS):
                 message = f"atom {e.name!r} does not take {len(args)} argument(s)"
             else:
                 message = f"unknown atom {e.name!r}"
@@ -988,8 +988,8 @@ class _Compiler:
                     return None
                 raise DomainUnknown(message)
             return unknown
-        name, picks = form
-        col = self.column(name)
+        col = self.column(form.column)
+        picks = form.key
         if all(isinstance(e.args[i], Var) for i in picks):
             key = itemgetter(*(scope[e.args[i].name] for i in picks))
         elif len(picks) == 1:

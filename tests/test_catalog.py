@@ -23,6 +23,33 @@ def test_resolve_name_accepts_spec_spellings():
         resolve_name("Nope")
 
 
+def test_resolve_name_keys_every_spelling_without_separators():
+    assert resolve_name("alw_q") == "Alw-Q"
+    assert resolve_name("PQ Extra Dur") == "PQ-Extra-Dur"
+    assert resolve_name("pqextradur") == "PQ-Extra-Dur"
+    assert resolve_name("Each-Vote") == "Each-Vote"
+    assert resolve_name("q_alw-") == "Q-Alw"
+    names = catalog.LINK_NAMES + catalog.SERVER_NAMES + catalog.ASSERTION_NAMES
+    for name in names:
+        for spelling in (name, name.upper(), name.lower(), name.replace("-", ""),
+                         name.replace("-", "_"), name.replace("-", " ")):
+            assert resolve_name(spelling) == name
+    for unknown in ("Nope", "", "Alw-Q-Q", "Sure2", "Alw.Q"):
+        with pytest.raises(UnknownProperty):
+            resolve_name(unknown)
+
+
+def test_durations_must_be_non_negative():
+    for bad in (dict(D=-1), dict(D=-3)):
+        with pytest.raises(MissingParameter, match="non-negative"):
+            server_property("PQ-Dur", **bad)
+    for bad in (dict(D1=-1, D2=5), dict(D1=1, D2=-5), dict(D1=-1, D2=-5)):
+        with pytest.raises(MissingParameter, match="non-negative"):
+            server_property("PQ-Extra-Dur", **bad)
+    assert server_property("PQ-Dur", D=0) is not None
+    assert server_property("PQ-Extra-Dur", D1=0, D2=0) is not None
+
+
 def test_parameter_validation():
     with pytest.raises(MissingParameter):
         link_property("Sure")

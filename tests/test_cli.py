@@ -3,6 +3,7 @@ recorded output."""
 
 import hashlib
 import os
+import re
 
 import pytest
 
@@ -241,3 +242,55 @@ def test_hierarchy_check_needs_a_corpus(capsys, size):
     code, out, err = run(capsys, "hierarchy", "check", "--corpus", size)
     assert (code, out) == (2, "")
     assert err.strip() == f"error: --corpus must be at least 1, got {size}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["trace", "check", "LASSO", "--property", "PQ-Dur(-3)"],
+     "error: the duration D must be non-negative"),
+    (["trace", "check", "LASSO", "--property", "PQ-Extra-Dur(-1,-5)"],
+     "error: the durations D1 and D2 must be non-negative"),
+    (["simulate", "--target", "PQ-Dur(-2)"],
+     "error: the duration D must be non-negative"),
+    (["spec", "print", "some x in servers has alw (x.nf lasts D)", "--param", "D=-3"],
+     "error: line 1:39: parameter 'D' is bound to -3, not a non-negative integer"),
+    (["spec", "parse", "evt each s in 1..n has true", "--param", "n=-2"],
+     "error: line 1:18: parameter 'n' is bound to -2, not a non-negative integer"),
+])
+def test_negative_durations_and_parameters_are_usage(tmp_path, capsys, argv, message):
+    lasso = tmp_path / "raft.lasso"
+    run(capsys, "scenario", "raft-eachvote", "--out", str(lasso))
+    code, out, err = run(capsys, *[str(lasso) if a == "LASSO" else a for a in argv])
+    assert (code, out) == (2, "")
+    assert err.strip() == message
+
+
+def test_syntax_error_names_its_location_once(capsys):
+    code, out, err = run(capsys, "spec", "parse", "evt alw some q in has q nf")
+    assert (code, out) == (2, "")
+    assert err.startswith("syntax error at 1:19: expected servers or clients")
+    assert err.count("1:19") == 1
+
+
+@pytest.mark.parametrize("action", ["parse", "print"])
+def test_spec_on_an_empty_spec_file_is_usage(tmp_path, capsys, action):
+    spec = tmp_path / "empty.lspec"
+    spec.write_text("# nothing but a comment\n\n")
+    code, out, err = run(capsys, "spec", action, str(spec))
+    assert (code, out) == (2, "")
+    assert err.strip() == f"error: {spec} holds no property"
+
+
+def test_modelcheck_and_hierarchy_write_their_tables_to_out(tmp_path, capsys):
+    mc = ["modelcheck", "--proposers", "2", "--acceptors", "3", "--start", "0", "1"]
+    _code, shown, _err = run(capsys, *mc)
+    code, out, _err = run(capsys, *mc, "--out", str(tmp_path / "mc.txt"))
+    assert (code, out) == (0, "")
+    written = (tmp_path / "mc.txt").read_text()
+    drop_seconds = re.compile(r" seconds=\S+")
+    assert drop_seconds.sub("", written) == drop_seconds.sub("", shown)
+    assert written.count("\n") == 2
+    h = ["hierarchy", "check", "--corpus", "20", "--seed", "1"]
+    _code, shown, _err = run(capsys, *h)
+    code, out, _err = run(capsys, *h, "--out", str(tmp_path / "h.txt"))
+    assert (code, out) == (0, "")
+    assert (tmp_path / "h.txt").read_text() == shown

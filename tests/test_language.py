@@ -1,14 +1,21 @@
+import contextlib
+import hashlib
+import io
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from livenesslab import catalog
+from livenesslab.cli import main
 from livenesslab.language import (
-    SpecSyntaxError, UnboundParameter, parse, parse_blocks, print_expr,
+    _KEYWORDS, LanguageError, SpecSyntaxError, UnboundParameter, parse,
+    parse_blocks, print_expr,
 )
 from livenesslab.temporal import (
-    Alw, And, Atom, Each, EachSent, Evt, Implies, NfSet, Some, Var,
-    eval_expr,
+    Alw, And, Atom, Each, EachSent, Evt, Implies, NfSet, Some, TemporalError,
+    Var, eval_expr,
 )
 from livenesslab.hierarchy import make_corpus
 
@@ -137,6 +144,18 @@ def test_random_roundtrip():
         assert parse(printed) == expr, printed
 
 
+def test_print_expr_golden_digest():
+    """Printed text of the catalog and of 2000 random expressions is pinned."""
+    params = {"D": 2, "D1": 1, "D2": 3, "n": 2}
+    exprs = [parse(text, params) for text in catalog.CANONICAL_TEXT.values()]
+    exprs += [random_expr(random.Random(k), depth=4) for k in range(2000)]
+    digest = hashlib.sha256()
+    for e in exprs:
+        digest.update(f"{print_expr(e)}\n".encode())
+    assert digest.hexdigest() == \
+        "de94871d47edef6b92744ef85663d9f7fa23acdcaa4dbe412471035aa65a7114"
+
+
 def test_parsed_equals_built_eval_equivalence_on_random_traces():
     corpus = make_corpus(40, seed=3)
     for (kind, name), text in catalog.CATALOG_STRINGS.items():
@@ -144,3 +163,62 @@ def test_parsed_equals_built_eval_equivalence_on_random_traces():
         built = build_for(kind, name)
         for trace in corpus[:10]:
             assert eval_expr(parsed, trace) == eval_expr(built, trace)
+
+
+def test_negative_parameter_bindings_are_rejected():
+    for text, name in [("some x in servers has alw (x.nf lasts D)", "D"),
+                       ("some x in servers has x.nf after D", "D"),
+                       ("evt each s in 1..n has true", "n"),
+                       ("some t in [D,inf) has servers nf at t", "D")]:
+        with pytest.raises(LanguageError, match=rf"line 1:\d+: parameter '{name}'"):
+            parse(text, {name: -2})
+        parse(text, {name: 0})
+
+
+def test_syntax_error_names_what_each_atom_form_expects():
+    with pytest.raises(SpecSyntaxError) as err:
+        parse("some p in servers has p.bogus")
+    assert err.value.span.column == 25
+    assert "'voted'" in err.value.expected and "'nf'" in err.value.expected
+    with pytest.raises(SpecSyntaxError) as err:
+        parse("some c in clients, v in values, w in values has "
+              "c.received ('resp',v,res(w))")
+    assert str(err.value).startswith("line 1:")
+
+
+# random token streams over the language's own vocabulary: every keyword and
+# punctuation mark, a few identifiers, ints and quoted strings
+_VOCAB = sorted(_KEYWORDS) + ["(", ")", ".", "..", "[", "]", ",", "=", "+",
+                              "p", "q", "v", "x", "t", "m", "D", "n", "0", "1", "3",
+                              "'req'", "'resp'", "'a'"]
+_CATALOG_TOKENS = [re.findall(r"'[^']*'|\.\.|\w+|\S", text)
+                   for text in catalog.CANONICAL_TEXT.values()]
+
+
+@st.composite
+def _token_stream(draw):
+    words = st.lists(st.sampled_from(_VOCAB), max_size=12)
+    if draw(st.booleans()):
+        return " ".join(draw(words))
+    toks = list(draw(st.sampled_from(_CATALOG_TOKENS)))
+    i = draw(st.integers(0, len(toks)))
+    j = draw(st.integers(i, min(len(toks), i + 3)))
+    toks[i:j] = draw(words)
+    return " ".join(toks)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_token_stream())
+def test_fuzz_parse_and_spec_parse(text):
+    params = {"D": 2, "D1": 1, "D2": 3, "n": 2}
+    try:
+        expr = parse(text, params)
+    except (LanguageError, TemporalError):
+        expr = None
+    if expr is not None:
+        assert parse(print_expr(expr)) == expr, text
+    argv = ["spec", "parse", text] + [f"--param={k}={v}" for k, v in params.items()]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code == (2 if expr is None else 0), (text, err.getvalue())

@@ -45,10 +45,14 @@ def parse_property_ref(text: str) -> catalog.CatalogId:
 def _params_dict(pairs) -> dict:
     out = {}
     for p in pairs or ():
-        if "=" not in p:
-            raise argparse.ArgumentTypeError(f"--param expects NAME=INT, got {p!r}")
-        k, v = p.split("=", 1)
-        out[k.strip()] = int(v)
+        name, eq, value = p.partition("=")
+        name = name.strip()
+        if not eq or not name:
+            raise ValueError(f"--param expects NAME=INT, got {p!r}")
+        try:
+            out[name] = int(value)
+        except ValueError:
+            raise ValueError(f"--param {name} expects an integer, got {value!r}") from None
     return out
 
 
@@ -79,14 +83,26 @@ def _read_spec(path: str, params: dict) -> Optional[dict]:
     return blocks
 
 
+def _names_catalog_property(text: str) -> bool:
+    m = _REF_RE.match(text.strip())
+    if m is None:
+        return False
+    try:
+        catalog.resolve_name(m.group("name"))
+    except catalog.UnknownProperty:
+        return False
+    return True
+
+
 def _load_property(ref: str, params: dict):
+    """A `.lspec` file's first property, a catalog reference, or else
+    property text; a reference with the wrong parameters is an error."""
     blocks = _read_spec(ref, params)
     if blocks is not None:
         return next(iter(blocks.items()))
-    try:
-        cid = parse_property_ref(ref)
-    except catalog.UnknownProperty:
+    if not _names_catalog_property(ref):
         return "property", parse(ref, params)
+    cid = parse_property_ref(ref)
     return cid.label(), catalog.build(cid)
 
 

@@ -58,6 +58,7 @@ def corpus_config() -> SystemConfig:
 def random_lasso(rng: random.Random, config: Optional[SystemConfig] = None) -> Trace:
     cfg = config or corpus_config()
     servers = list(cfg.servers)
+    everyone = set(cfg.servers) | set(cfg.clients)
     b = TraceBuilder(cfg)
     length = rng.randint(5, 9)
 
@@ -107,7 +108,7 @@ def random_lasso(rng: random.Random, config: Optional[SystemConfig] = None) -> T
     b.primary(primary)
     for t in range(length):
         down = down_at.get(t, set())
-        b.nf = (set(cfg.servers) | set(cfg.clients)) - down
+        b.nf = everyone - down
         if primary in down:
             alive = [s for s in servers if s not in down]
             primary = alive[0] if alive else primary
@@ -140,25 +141,25 @@ def random_lasso(rng: random.Random, config: Optional[SystemConfig] = None) -> T
     cycle = rng.choice(["stutter", "rotate_pair", "flap_primary", "fixed_down"])
     loop_start = len(b.snapshots)
     if cycle == "stutter":
-        b.nf = set(cfg.servers) | set(cfg.clients)
+        b.nf = set(everyone)
         b.commit()
     elif cycle == "rotate_pair":
         pair = rng.sample(servers, 2)
         for s in pair:
-            b.nf = (set(cfg.servers) | set(cfg.clients)) - {s}
+            b.nf = everyone - {s}
             if primary == s:
                 others = [x for x in servers if x != s]
                 b.primary(others[0])
                 primary = others[0]
             b.commit()
     elif cycle == "flap_primary":
-        b.nf = (set(cfg.servers) | set(cfg.clients)) - {primary}
+        b.nf = everyone - {primary}
         b.commit()
-        b.nf = set(cfg.servers) | set(cfg.clients)
+        b.nf = set(everyone)
         b.commit()
     else:
         victim = rng.choice(servers)
-        b.nf = (set(cfg.servers) | set(cfg.clients)) - {victim}
+        b.nf = everyone - {victim}
         if primary == victim:
             others = [x for x in servers if x != victim]
             b.primary(others[0])

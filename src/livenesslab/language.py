@@ -289,7 +289,11 @@ class _Parser:
             if tok.text != "1":
                 raise SpecSyntaxError(tok.span, ("a slot range starting at 1",), tok.text)
             self.expect("..")
+            count = self.peek()
             n = self.int_or_param()
+            if n < 1:
+                raise LanguageError(f"line {count.span.line}:{count.span.column}: the slot "
+                                    f"count must be at least 1, got {n}")
             return SlotRange(n)
         if tok.text in ("[", "("):
             ivl = self.interval()

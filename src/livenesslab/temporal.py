@@ -169,6 +169,9 @@ _HISTORY_FIELDS = (
 )
 
 
+_histories = attrgetter(*_HISTORY_FIELDS)
+
+
 @dataclass(frozen=True)
 class ObservationState:
     """One snapshot of everything the property language can observe.
@@ -195,7 +198,7 @@ class ObservationState:
     responded: frozenset = frozenset()
 
     def histories(self) -> tuple:
-        return tuple(getattr(self, f) for f in _HISTORY_FIELDS)
+        return _histories(self)
 
 
 class Trace:
@@ -216,12 +219,11 @@ class Trace:
         self._send_events = None
         if not self.states:
             raise ValueError("a trace needs at least one state")
-        prev = self.states[0]
-        for st in self.states[1:]:
-            for name, before, after in zip(_HISTORY_FIELDS, prev.histories(), st.histories()):
-                if not before <= after:
+        histories = [st.histories() for st in self.states]
+        for prev, cur in zip(histories, histories[1:]):
+            for name, before, after in zip(_HISTORY_FIELDS, prev, cur):
+                if before is not after and not before <= after:
                     raise ValueError(f"history field {name} is not monotone")
-            prev = st
         for st in self.states:
             flipped = {(s, m, r) for (r, m, s) in st.received}
             if not flipped <= st.sent:
@@ -229,7 +231,7 @@ class Trace:
         if loop_start is not None:
             if not 0 <= loop_start < len(self.states):
                 raise LassoInconsistent("loop_start out of range")
-            if self.states[loop_start].histories() != self.states[-1].histories():
+            if histories[loop_start] != histories[-1]:
                 raise LassoInconsistent(
                     "cumulative histories differ between loop start and trace end"
                 )
@@ -550,30 +552,96 @@ def violated() -> Verdict:
 # domain, a bad time) is raised only when evaluation reaches it, visiting
 # subexpressions left to right with the usual short-circuits.  ``ctx`` is
 # the `_Context` of one evaluation.
+#
+# A subexpression without time terms, tick quantifiers or send quantifiers
+# also compiles to a mask function ``m(ctx, env)``: on a lasso it returns
+# its value at every tick 0 .. size-1 at once, as the bits of a Python int
+# (bit t set where it holds at tick t).  Atoms are membership sweeps over
+# their column, connectives are bitwise, quantifiers combine the masks of
+# their bindings, and alw/evt/lasts/after/during [now+a,now+b] are shifts
+# and ands over the periodic extension of the cycle.  A window whose body
+# has a mask answers from it where that pays (see `_Compiler.window`), one
+# mask per binding of the body's free variables; a mask that raises, or an
+# unhashable binding, leaves the closures to answer, so errors surface
+# exactly where they reach.
+
+class _TraceIndex:
+    """What every evaluation on one trace shares, each part computed when
+    first asked for: the state columns over the states extended by one
+    cycle, the config domains, and the atom masks keyed (column, key).
+    Each part is a pure function of the trace, so threads that fill the
+    same entry at once store equal values and need no lock."""
+
+    __slots__ = ("trace", "states", "loop", "config", "extended", "n", "period",
+                 "size", "full", "cols", "programs", "domains", "masks")
+
+    def __init__(self, trace: Trace):
+        self.trace = trace
+        self.states = states = trace.states
+        self.loop = loop = trace.loop_start
+        self.config = trace.config
+        self.extended = states if loop is None else states + states[loop:]
+        self.n = len(states)
+        self.period = trace.period
+        self.size = len(self.extended)
+        self.full = (1 << self.size) - 1
+        self.cols: dict = {}
+        self.programs: dict = {}
+        self.domains: dict = {}
+        self.masks: dict = {}
+
+    def fits(self, trace: Trace) -> bool:
+        return (self.trace is trace and self.states is trace.states
+                and self.loop == trace.loop_start and self.config is trace.config)
+
+    def columns(self, names: tuple) -> list:
+        """The columns ``names``, in that order, as a program reads them."""
+        cols = self.programs.get(names)
+        if cols is None:
+            cols = self.programs[names] = [self.column(name) for name in names]
+        return cols
+
+    def column(self, name: str) -> list:
+        col = self.cols.get(name)
+        if col is None:
+            col = self.cols[name] = _COLUMNS[name](self.extended)
+        return col
+
+
+#: the index of the last trace evaluated: the properties checked one after
+#: another on a trace share it, and the next trace replaces it
+_last_index: Optional[_TraceIndex] = None
+
 
 class _Context:
-    """What one evaluation reads of its trace; built per call.
+    """What one evaluation reads of its trace.
 
     ``cols`` holds the state columns the program uses, one entry per tick
     over the states extended by one cycle, so most ticks index them
-    directly and later ticks wrap around the cycle.  ``domains`` caches
-    the config domains, and ``memo`` the lasso labels and per-state answers
-    of the nodes that keep them.
+    directly and later ticks wrap around the cycle.  ``cols``, ``domains``
+    (the config domains, and under "servers" every server on some roster,
+    sorted) and ``masks`` (the atom masks) come from the shared index of
+    the trace; ``memo`` holds the window-body masks and per-state answers
+    of this call.
     """
 
-    __slots__ = ("trace", "n", "loop", "period", "size", "cols", "domains", "memo")
+    __slots__ = ("trace", "n", "loop", "period", "size", "full", "cols", "domains",
+                 "masks", "memo")
 
     def __init__(self, trace: Trace, columns: tuple):
-        states = trace.states
+        global _last_index
+        index = _last_index
+        if index is None or not index.fits(trace):
+            index = _last_index = _TraceIndex(trace)
         self.trace = trace
-        self.n = len(states)
-        self.loop = loop = trace.loop_start
-        self.period = trace.period
-        if loop is not None:
-            states = states + states[loop:]
-        self.size = len(states)
-        self.cols = [_COLUMNS[name](states) for name in columns]
-        self.domains = {}
+        self.n = index.n
+        self.loop = index.loop
+        self.period = index.period
+        self.size = index.size
+        self.full = index.full
+        self.cols = index.columns(columns)
+        self.domains = index.domains
+        self.masks = index.masks
         self.memo = {}
 
     def wrap(self, t: int):
@@ -711,11 +779,16 @@ def _quantifier(members, slot, body, universal):
     return quantifier
 
 
-def _window(bounds, body, universal=True, slot=None):
+def _window(bounds, body, universal=True, slot=None, body_mask=None):
     """A loop over the ticks in ``bounds``: moving ``now`` (alw, evt,
-    during, lasts, after) or binding ``slot`` (tick quantifiers)."""
+    during, lasts, after) or binding ``slot`` (tick quantifiers).  On a
+    lasso, ``body_mask`` answers the whole loop from the body's mask."""
     def window(ctx, env, now):
         lo, hi = bounds(env, now)
+        if body_mask is not None and ctx.loop is not None:
+            m = body_mask(ctx, env)
+            if m is not None:
+                return _window_test(ctx, m, lo, hi, universal)
         positions, tail = ctx.positions(lo, hi)
         result = universal
         for t in positions:
@@ -734,67 +807,6 @@ def _window(bounds, body, universal=True, slot=None):
 
 def _from_now(env, now):
     return now, None
-
-
-def _label(ctx, env, body, universal) -> list:
-    """alw (universal) or evt of ``body`` at every tick 0..n-1 of a lasso.
-
-    The body is evaluated once per tick and the answers are combined
-    backward (Markey & Schnoebelen, *Model Checking a Path*, 2003).  A
-    sweep from tick t answers with the first decisive body value it meets
-    (False for alw, True for evt, or a raised error), else None if it met
-    an unknown, else the neutral value; each label records exactly that,
-    so errors still surface only where a sweep would reach them.
-    """
-    n, loop = ctx.n, ctx.loop
-    values = []
-    for t in range(n):
-        try:
-            values.append(body(ctx, env, t))
-        except Exception as exc:      # re-raised only where a sweep meets it
-            values.append(exc)
-    labels = [None] * n
-    # a sweep from a cycle tick visits the whole cycle, starting at that
-    # tick: two backward passes carry the first decisive value ahead of it
-    ahead = None
-    for t in [*range(n - 1, loop - 1, -1)] * 2:
-        if values[t] is not None and values[t] is not universal:
-            ahead = values[t]
-        labels[t] = ahead
-    if ahead is None:
-        labels[loop:] = [None if None in values[loop:] else universal] * (n - loop)
-    # a sweep from a prefix tick visits it, then sweeps from the next tick
-    for t in range(loop - 1, -1, -1):
-        v, rest = values[t], labels[t + 1]
-        if v is not None and v is not universal:
-            labels[t] = v
-        elif rest is not None and rest is not universal:
-            labels[t] = rest
-        else:
-            labels[t] = None if v is None or rest is None else universal
-    return labels
-
-
-def _labelled(node, free, body, universal, plain):
-    """alw/evt answered from lasso labels, computed once per binding of the
-    body's free variables; finite traces take the plain loop."""
-    binding = itemgetter(*free) if free else None
-
-    def labelled(ctx, env, now):
-        if ctx.loop is None:
-            return plain(ctx, env, now)
-        key = node if binding is None else (node, binding(env))
-        try:
-            labels = ctx.memo.get(key)
-        except TypeError:             # an unhashable binding
-            return plain(ctx, env, now)
-        if labels is None:
-            labels = ctx.memo[key] = _label(ctx, env, body, universal)
-        v = labels[now if now < ctx.n else ctx.wrap(now)]
-        if v is None or v is True or v is False:
-            return v
-        raise v
-    return labelled
 
 
 _UNSEEN = object()
@@ -818,6 +830,225 @@ def _per_state(node, free, cols, body):
     return per_state
 
 
+# -- lasso masks: bit t of a mask is the value at tick t, for t < ctx.size;
+# the bits of ticks n .. size-1 repeat those of the cycle
+
+def _membership(ctx, name: str, col: int, key) -> int:
+    """Where ``key`` is in the column ``name``, cached per trace."""
+    m = ctx.masks.get((name, key))
+    if m is None:
+        m = 0
+        for t, members in enumerate(ctx.cols[col]):
+            if key in members:
+                m |= 1 << t
+        ctx.masks[(name, key)] = m
+    return m
+
+
+def _truth(ctx, name: str, col: int) -> int:
+    """Where the boolean column ``name`` is true, cached per trace."""
+    m = ctx.masks.get(name)
+    if m is None:
+        m = 0
+        for t, flag in enumerate(ctx.cols[col]):
+            if flag:
+                m |= 1 << t
+        ctx.masks[name] = m
+    return m
+
+
+def _extend(ctx, m: int, length: int) -> int:
+    """``m`` continued with the cycle up to ``length`` bits."""
+    if length <= ctx.size:
+        return m
+    cycle = (m >> ctx.loop) & ((1 << ctx.period) - 1)
+    for t in range(ctx.size, length, ctx.period):
+        m |= cycle << t
+    return m
+
+
+def _always(ctx, m: int) -> int:
+    """alw: nowhere if a tick of the cycle fails, else at every tick past
+    the last prefix tick that fails (Markey & Schnoebelen, *Model Checking
+    a Path*, 2003)."""
+    cycle = (1 << ctx.period) - 1
+    if (m >> ctx.loop) & cycle != cycle:
+        return 0
+    last_gap = (~m & ((1 << ctx.loop) - 1)).bit_length()
+    return ctx.full >> last_gap << last_gap
+
+
+def _lasting(ctx, m: int, d: int) -> int:
+    """lasts d: ands of d+1 consecutive ticks, by doubling.  A window
+    longer than the trace covers its cycle from every tick already."""
+    d = min(d, ctx.n - 1)
+    m = _extend(ctx, m, ctx.size + d)
+    width = 1
+    while width <= d:
+        step = min(width, d + 1 - width)
+        m &= m >> step
+        width += step
+    return m & ctx.full
+
+
+def _shifted(ctx, m: int, s: int) -> int:
+    """The mask whose tick t reads tick t+s of ``m``."""
+    if s >= ctx.loop:
+        s = ctx.loop + (s - ctx.loop) % ctx.period
+    return (_extend(ctx, m, ctx.size + s) >> s) & ctx.full
+
+
+def _eventually(ctx, m: int) -> int:
+    """evt: everywhere if a tick of the cycle holds, else at every tick up
+    to the last prefix tick that holds."""
+    if (m >> ctx.loop) & ((1 << ctx.period) - 1):
+        return ctx.full
+    return (1 << (m & ((1 << ctx.loop) - 1)).bit_length()) - 1
+
+
+def _window_mask(body, lo: int, hi: Optional[int], universal: bool):
+    """The mask function of a window over [now+lo, now+hi] (hi None:
+    unbounded), 0 <= lo, whose body has the mask function ``body``."""
+    if not universal:                 # evt, the one existential window
+        return lambda ctx, env: _eventually(ctx, body(ctx, env))
+    if hi is None and not lo:
+        return lambda ctx, env: _always(ctx, body(ctx, env))
+    if hi is not None and hi < lo:    # no tick: the body is never reached
+        return _all_ticks
+
+    def window(ctx, env):
+        m = body(ctx, env)
+        m = _always(ctx, m) if hi is None else _lasting(ctx, m, hi - lo)
+        return _shifted(ctx, m, lo) if lo else m
+    return window
+
+
+def _window_test(ctx, m: int, lo: int, hi: Optional[int], universal: bool) -> bool:
+    """What the loop over `_Context.positions` (lo, hi) answers on a lasso
+    for a body whose mask is ``m``: the same ticks, read off the bits."""
+    if lo < 0:
+        lo = 0
+    elif lo >= ctx.n:
+        back = lo - ctx.wrap(lo)
+        lo -= back
+        if hi is not None:
+            hi -= back
+    top = (lo if lo > ctx.loop else ctx.loop) + ctx.period - 1
+    if hi is not None and hi < top:
+        top = hi
+    if top < lo:
+        return universal
+    ones = (1 << (top - lo + 1)) - 1
+    bits = (m >> lo) & ones
+    return bits == ones if universal else bits != 0
+
+
+def _body_mask(node, free, mask):
+    """The mask of a window body for the binding of its ``free`` slots,
+    built once per call; None where the closures must answer instead."""
+    binding = itemgetter(*free) if free else None
+
+    def body_mask(ctx, env):
+        key = node if binding is None else (node, binding(env))
+        try:
+            m = ctx.memo.get(key, _UNSEEN)
+        except TypeError:             # an unhashable binding
+            return None
+        if m is _UNSEEN:
+            try:
+                m = mask(ctx, env)
+            except Exception:         # raised again where the closures reach it
+                m = None
+            ctx.memo[key] = m
+        return m
+    return body_mask
+
+
+def _all_ticks(ctx, env):
+    return ctx.full
+
+
+def _no_tick(ctx, env):
+    return 0
+
+
+def _complement(mask):
+    return lambda ctx, env: ctx.full ^ mask(ctx, env)
+
+
+def _junction_mask(left, right, decisive):
+    """and (decisive False) or or (decisive True).  The right operand is
+    skipped where the left one decides every tick, as the closures skip it."""
+    def junction(ctx, env):
+        a = left(ctx, env)
+        if a == (ctx.full if decisive else 0):
+            return a
+        return a | right(ctx, env) if decisive else a & right(ctx, env)
+    return junction
+
+
+def _quantifier_mask(members, slot, body, universal):
+    """Over a domain that does not change with the tick.  The loop stops
+    where the bindings so far decide every tick: the closures, taking the
+    values in the same order, never reach the rest."""
+    def quantifier(ctx, env):
+        decided = 0 if universal else ctx.full
+        m = ctx.full ^ decided
+        for value in members(ctx, env, 0):
+            env[slot] = value
+            m = m & body(ctx, env) if universal else m | body(ctx, env)
+            if m == decided:
+                break
+        return m
+    return quantifier
+
+
+def _servers_mask(col, slot, body, universal):
+    """Over the roster: each server counts at the ticks it is on it.  The
+    servers of every roster are taken in sorted order, so the loop may stop
+    where those so far decide every tick, as `_quantifier_mask` does."""
+    def quantifier(ctx, env):
+        servers = ctx.domains.get("servers")
+        if servers is None:
+            servers = ctx.domains["servers"] = sorted(frozenset().union(*ctx.cols[col]))
+        full = ctx.full
+        decided = 0 if universal else full
+        m = full ^ decided
+        for value in servers:
+            env[slot] = value
+            on = _membership(ctx, "servers", col, value)
+            if universal:
+                m &= (full ^ on) | body(ctx, env)
+            else:
+                m |= on & body(ctx, env)
+            if m == decided:
+                break
+        return m
+    return quantifier
+
+
+def _now_offsets(ivl: Interval):
+    """(lo, hi) of an interval [now+lo, now+hi] (hi None: unbounded) with
+    0 <= lo, as inclusive offsets; None for any other interval."""
+    def offset(term):
+        if isinstance(term, TNow):
+            return 0
+        if isinstance(term, TPlus) and isinstance(term.base, TNow):
+            return term.offset
+        return None
+
+    lo = offset(ivl.lo)
+    if lo is None:
+        return None
+    lo += 0 if ivl.lo_closed else 1
+    if ivl.hi is None:
+        return (lo, None) if lo >= 0 else None
+    hi = offset(ivl.hi)
+    if hi is None or lo < 0:
+        return None
+    return lo, hi - (0 if ivl.hi_closed else 1)
+
+
 class _Program(NamedTuple):
     fn: Callable
     nslots: int
@@ -825,7 +1056,8 @@ class _Program(NamedTuple):
 
 
 class _Compiler:
-    """Compiles one expression and notes what each alw/evt body uses.
+    """Compiles one expression into its closure and, where it has one, its
+    mask function, and notes what each loop body uses.
 
     ``uses`` collects, for the subtree being compiled, the slots it reads,
     ``("col", k)`` for each column it reads, and the flags "time" (a time
@@ -845,10 +1077,11 @@ class _Compiler:
     def program(self, expr: PropertyExpr, bound=()) -> _Program:
         scope = {name: k for k, name in enumerate(bound)}
         self.nslots = len(scope)
-        fn = self.expr(expr, scope, len(scope))
+        fn, _mask = self.expr(expr, scope, len(scope))
         return _Program(fn, self.nslots, tuple(self.columns))
 
     def expr(self, e, scope: dict, depth: int):
+        """(closure, mask function or None) of ``e``."""
         compile_node = _NODES.get(type(e))
         if compile_node is None:
             raise TypeError(f"not a property expression: {e!r}")
@@ -882,16 +1115,16 @@ class _Compiler:
 
     def loop_body(self, body, scope, depth, slots=()):
         """Compile the body of a loop over ticks binding ``slots``; returns
-        it with what it uses."""
+        its closure, its mask function and what it uses."""
         outer, self.uses = self.uses, set()
         self.loops.append(frozenset(slots))
         try:
-            fn = self.expr(body, scope, depth)
+            fn, mask = self.expr(body, scope, depth)
         finally:
             self.loops.pop()
             uses = self.uses
             self.uses = outer | uses | {"loop"}
-        return fn, uses
+        return fn, mask, uses
 
     # -- terms, times and domains: functions of (env, now) or (ctx, env, now)
 
@@ -903,13 +1136,16 @@ class _Compiler:
             return lambda env: value
         return _fail(TypeError, f"not a term: {term!r}")
 
-    def time(self, term, scope: dict):
+    def time(self, term, scope: dict, offset: int = 0):
+        """The tick ``term`` names, plus ``offset``."""
         self.uses.add("time")
         if isinstance(term, TLit):
             value = term.value
-            return lambda env, now: value
+            if not offset:
+                return lambda env, now: value
+            return lambda env, now: value + offset
         if isinstance(term, TNow):
-            return lambda env, now: now
+            return lambda env, now: now + offset
         if isinstance(term, TVar):
             k = self.slot(term.name, scope, "time variable")
             message = f"{term.name!r} is bound to a non-tick value"
@@ -918,11 +1154,10 @@ class _Compiler:
                 value = env[k]
                 if not isinstance(value, int):
                     raise DomainUnknown(message)
-                return value
+                return value + offset
             return tick
         if isinstance(term, TPlus):
-            base, offset = self.time(term.base, scope), term.offset
-            return lambda env, now: base(env, now) + offset
+            return self.time(term.base, scope, offset + term.offset)
         return _fail(TypeError, f"not a time term: {term!r}")
 
     def interval(self, ivl: Interval, scope: dict):
@@ -987,8 +1222,9 @@ class _Compiler:
                 if now >= ctx.size and ctx.wrap(now) is None:
                     return None
                 raise DomainUnknown(message)
-            return unknown
-        col = self.column(form.column)
+            return unknown, _fail(DomainUnknown, message)
+        name = form.column
+        col = self.column(name)
         picks = form.key
         if all(isinstance(e.args[i], Var) for i in picks):
             key = itemgetter(*(scope[e.args[i].name] for i in picks))
@@ -1003,43 +1239,61 @@ class _Compiler:
                 if now is None:
                     return None
             return key(env) in ctx.cols[col][now]
-        return atom
+
+        def atom_mask(ctx, env):
+            k = key(env)
+            m = ctx.masks.get((name, k))     # the hit, without a call
+            return _membership(ctx, name, col, k) if m is None else m
+        return atom, atom_mask
 
     def not_(self, e: Not, scope, depth):
-        return _negation(self.expr(e.body, scope, depth))
+        fn, mask = self.expr(e.body, scope, depth)
+        return _negation(fn), mask and _complement(mask)
+
+    @staticmethod
+    def junction(left, right, decisive):
+        (f, fm), (g, gm) = left, right
+        return _junction(f, g, decisive), fm and gm and _junction_mask(fm, gm, decisive)
 
     def and_(self, e: And, scope, depth):
-        return _junction(self.expr(e.left, scope, depth), self.expr(e.right, scope, depth),
-                         False)
+        return self.junction(self.expr(e.left, scope, depth), self.expr(e.right, scope, depth),
+                             False)
 
     def or_(self, e: Or, scope, depth):
-        return _junction(self.expr(e.left, scope, depth), self.expr(e.right, scope, depth),
-                         True)
+        return self.junction(self.expr(e.left, scope, depth), self.expr(e.right, scope, depth),
+                             True)
 
     def implies(self, e: Implies, scope, depth):
         # Kleene implication is (not left) or right, evaluated in that order
-        return _junction(_negation(self.expr(e.left, scope, depth)),
-                         self.expr(e.right, scope, depth), True)
+        return self.junction(self.not_(Not(e.left), scope, depth),
+                             self.expr(e.right, scope, depth), True)
 
     def quantified(self, e, scope, depth):
         universal = isinstance(e, Each)
-        if isinstance(e.domain, TickDomain):
-            bounds = self.interval(e.domain.interval, scope)
+        dom = e.domain
+        if isinstance(dom, TickDomain):
+            bounds = self.interval(dom.interval, scope)
             inner, (k,), depth = self.bind(scope, depth, (e.var,))
-            body, _uses = self.loop_body(e.body, inner, depth, (k,))
-            return _window(bounds, body, universal, slot=k)
-        members = self.domain(e.domain, scope)
+            body, _mask, _uses = self.loop_body(e.body, inner, depth, (k,))
+            return _window(bounds, body, universal, slot=k), None
+        members = self.domain(dom, scope)
         inner, (k,), depth = self.bind(scope, depth, (e.var,))
         outer, self.uses = self.uses, set()
-        body = self.expr(e.body, inner, depth)
+        body, mask = self.expr(e.body, inner, depth)
         self.uses |= outer | {"quantifiers" if "quantifier" in self.uses else "quantifier"}
-        return _quantifier(members, k, body, universal)
+        fn = _quantifier(members, k, body, universal)
+        roster = isinstance(dom, NamedDomain) and dom.name == "servers"
+        if mask is None or roster and dom.at is not None:   # read at another tick
+            return fn, None
+        if roster:
+            return fn, _servers_mask(self.columns["servers"], k, mask, universal)
+        return fn, _quantifier_mask(members, k, mask, universal)
 
     def sent(self, e, scope, depth):
         universal = isinstance(e, EachSent)
         names = (e.sender, e.message, e.receiver) + ((e.time_var,) if e.time_var else ())
         inner, slots, depth = self.bind(scope, depth, names)
-        body, _uses = self.loop_body(e.body, inner, depth, slots)
+        body, _mask, _uses = self.loop_body(e.body, inner, depth, slots)
         s, m, r = slots[:3]
         tick = slots[3] if e.time_var else None
 
@@ -1057,42 +1311,52 @@ class _Compiler:
             # on a finite non-lasso trace more messages may still be sent,
             # so a universal cannot be confirmed nor an existential refuted
             return None if ctx.loop is None else result
-        return sent
+        return sent, None
 
-    def temporal(self, e, scope, depth):
-        """alw/evt.  Labelled on lassos when the body has no time term and
-        an enclosing loop over ticks comes back to the same binding of the
-        body's free variables; a plain loop otherwise.  A body that reads
-        only the current state keeps per-state answers if it nests
-        quantifiers, which makes it costly enough to pay for the lookup."""
-        universal = isinstance(e, Alw)
-        body, uses = self.loop_body(e.body, scope, depth)
+    def window(self, e, scope, depth, bounds, offsets, universal=True):
+        """alw/evt/during/lasts/after: a loop over the ticks in ``bounds``.
+        On lassos it answers from the body's mask, if the body has one,
+        where that pays: when the body holds a loop over ticks itself, or
+        when an enclosing loop over ticks comes back to the same binding of
+        the body's free variables.  Otherwise each binding is met once and
+        the loop, stopping at its first decisive tick, is cheaper; a body
+        that reads only the current state keeps per-state answers there if
+        it nests quantifiers, which makes it costly enough to pay for the
+        lookup.  ``offsets`` are the bounds relative to now when they are
+        constant (see `_now_offsets`), which gives the window a mask of its
+        own."""
+        body, mask, uses = self.loop_body(e.body, scope, depth)
         free = sorted(u for u in uses if isinstance(u, int) and u < depth)
         if "quantifiers" in uses and not uses & {"time", "loop"}:
             cols = sorted(u[1] for u in uses if isinstance(u, tuple))
             body = _per_state(self.node(), free, cols, body)
-        plain = _window(_from_now, body, universal)
-        if "time" in uses or all(bound.intersection(free) for bound in self.loops):
-            return plain
-        return _labelled(self.node(), free, body, universal, plain)
+        body_mask = None
+        if mask is not None and ("loop" in uses or any(
+                not bound.intersection(free) for bound in self.loops)):
+            body_mask = _body_mask(self.node(), free, mask)
+        fn = _window(bounds, body, universal, body_mask=body_mask)
+        return fn, mask and offsets and _window_mask(mask, *offsets, universal)
+
+    def temporal(self, e, scope, depth):
+        return self.window(e, scope, depth, _from_now, (0, None), isinstance(e, Alw))
 
     def during(self, e: During, scope, depth):
-        bounds = self.interval(e.interval, scope)
-        return _window(bounds, self.loop_body(e.body, scope, depth)[0])
+        return self.window(e, scope, depth, self.interval(e.interval, scope),
+                           _now_offsets(e.interval))
 
     def lasts(self, e: Lasts, scope, depth):
         d = e.duration
-        return _window(lambda env, now: (now, now + d), self.loop_body(e.body, scope, depth)[0])
+        return self.window(e, scope, depth, lambda env, now: (now, now + d), (0, d))
 
     def after(self, e: After, scope, depth):
         d = e.duration
-        return _window(lambda env, now: (now + d + 1, None),
-                       self.loop_body(e.body, scope, depth)[0])
+        return self.window(e, scope, depth, lambda env, now: (now + d + 1, None),
+                           (d + 1, None))
 
     def at(self, e: At, scope, depth):
         time = self.time(e.time, scope)
         literal = _is_literal_time(e.time)
-        body = self.expr(e.body, scope, depth)
+        body, _mask = self.expr(e.body, scope, depth)
 
         def at(ctx, env, now):
             t = time(env, now)
@@ -1101,25 +1365,35 @@ class _Compiler:
             if literal and ctx.loop is None and t >= ctx.n:
                 raise TimeOutOfRange(f"explicit time {t} lies beyond this finite trace")
             return body(ctx, env, t)
-        return at
+        return at, None
 
     def nf_set(self, e: NfSet, scope, depth):
         if isinstance(e.target, ServersSet):
             col = self.column("servers_nf")
-            group = None
-        else:
-            col = self.column("nf_procs")
-            group = self.term(e.target, scope, "set variable")
+
+            def servers_nf(ctx, env, now):
+                if now >= ctx.size:
+                    now = ctx.wrap(now)
+                    if now is None:
+                        return None
+                return ctx.cols[col][now]
+            return servers_nf, lambda ctx, env: _truth(ctx, "servers_nf", col)
+        col = self.column("nf_procs")
+        group = self.term(e.target, scope, "set variable")
 
         def nf_set(ctx, env, now):
             if now >= ctx.size:
                 now = ctx.wrap(now)
                 if now is None:
                     return None
-            if group is None:
-                return ctx.cols[col][now]
             return ctx.cols[col][now].issuperset(group(env))
-        return nf_set
+
+        def nf_set_mask(ctx, env):
+            m = ctx.full
+            for p in group(env):
+                m &= _membership(ctx, "nf_procs", col, p)
+            return m
+        return nf_set, nf_set_mask
 
     def servers_eq(self, e: ServersEq, scope, depth):
         t1, t2 = self.time(e.t1, scope), self.time(e.t2, scope)
@@ -1132,12 +1406,12 @@ class _Compiler:
                 return None
             rosters = ctx.cols[col]
             return rosters[i] == rosters[j]
-        return servers_eq
+        return servers_eq, None
 
 
 _NODES = {
-    TrueE: lambda c, e, scope, depth: _true,
-    FalseE: lambda c, e, scope, depth: _false,
+    TrueE: lambda c, e, scope, depth: (_true, _all_ticks),
+    FalseE: lambda c, e, scope, depth: (_false, _no_tick),
     Atom: _Compiler.atom, Not: _Compiler.not_, And: _Compiler.and_,
     Or: _Compiler.or_, Implies: _Compiler.implies,
     Each: _Compiler.quantified, Some: _Compiler.quantified,

@@ -200,6 +200,20 @@ def test_catalog_reference_missing_its_parameter_is_named(tmp_path, capsys):
     assert err.strip() == "error: Sure needs a delivery bound D"
 
 
+@pytest.mark.parametrize("ref, message", [
+    ("Sure(1,2)", "Sure takes 1 parameter(s), got (1, 2)"),
+    ("PQ-Dur(1,2,3)", "PQ-Dur takes 1 parameter(s), got (1, 2, 3)"),
+    ("Fair(1)", "Fair takes 0 parameter(s), got (1,)"),
+])
+def test_catalog_reference_with_the_wrong_parameter_count_is_named(tmp_path, capsys,
+                                                                   ref, message):
+    lasso = tmp_path / "raft.lasso"
+    run(capsys, "scenario", "raft-eachvote", "--out", str(lasso))
+    code, out, err = run(capsys, "trace", "check", str(lasso), "--property", ref)
+    assert (code, out) == (2, "")
+    assert err.strip() == f"error: {message}"
+
+
 def test_trace_check_with_an_empty_spec_file_is_usage(tmp_path, capsys):
     lasso = tmp_path / "raft.lasso"
     run(capsys, "scenario", "raft-eachvote", "--out", str(lasso))
@@ -262,6 +276,26 @@ def test_negative_durations_and_parameters_are_usage(tmp_path, capsys, argv, mes
     code, out, err = run(capsys, *[str(lasso) if a == "LASSO" else a for a in argv])
     assert (code, out) == (2, "")
     assert err.strip() == message
+
+
+@pytest.mark.parametrize("argv", [
+    ["evt each s in 1..n has true", "--param", "n=0"],
+    ["evt each s in 1..0 has true"],
+])
+def test_an_empty_slot_range_is_usage(capsys, argv):
+    code, out, err = run(capsys, "spec", "print", *argv)
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: line 1:18: the slot count must be at least 1, got 0"
+
+
+@pytest.mark.parametrize("param, message", [
+    ("D=x", "--param D expects an integer, got 'x'"),
+    ("D", "--param expects NAME=INT, got 'D'"),
+])
+def test_a_malformed_param_is_usage(capsys, param, message):
+    code, out, err = run(capsys, "spec", "print", "alw true", "--param", param)
+    assert (code, out) == (2, "")
+    assert err.strip() == f"error: {message}"
 
 
 def test_syntax_error_names_its_location_once(capsys):

@@ -166,13 +166,19 @@ def test_parsed_equals_built_eval_equivalence_on_random_traces():
 
 
 def test_negative_parameter_bindings_are_rejected():
-    for text, name in [("some x in servers has alw (x.nf lasts D)", "D"),
-                       ("some x in servers has x.nf after D", "D"),
-                       ("evt each s in 1..n has true", "n"),
-                       ("some t in [D,inf) has servers nf at t", "D")]:
+    # the least value each parameter takes: durations and tick offsets 0, a
+    # slot count 1 (a slot range 1..0 would be empty)
+    for text, name, least in [("some x in servers has alw (x.nf lasts D)", "D", 0),
+                              ("some x in servers has x.nf after D", "D", 0),
+                              ("evt each s in 1..n has true", "n", 1),
+                              ("some t in [D,inf) has servers nf at t", "D", 0)]:
         with pytest.raises(LanguageError, match=rf"line 1:\d+: parameter '{name}'"):
             parse(text, {name: -2})
-        parse(text, {name: 0})
+        parse(text, {name: least})
+        if least:
+            with pytest.raises(LanguageError, match=r"line 1:18: the slot count must be at "
+                                                    r"least 1, got 0"):
+                parse(text, {name: 0})
 
 
 def test_syntax_error_names_what_each_atom_form_expects():

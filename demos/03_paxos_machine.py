@@ -37,8 +37,8 @@ for _ in range(2):
     step(lambda a: isinstance(a, AcceptorVote), "vote")
 print("  a quorum has voted; consensus value is decided")
 for _ in range(2):
-    step(lambda a: isinstance(a, DeliverMessage) and a.msg.kind == "2b",
-         "vote report lands")
+    step(lambda a: isinstance(a, DeliverMessage) and a.msg.kind == "2b"
+         and a.msg.receiver == "p1", "vote report lands")
 step(lambda a: isinstance(a, Learn), "learn")
 
 obs = states[-1].obs

@@ -68,7 +68,7 @@ class CheckRun:
     def __post_init__(self):
         if self.stable_length < self.stable_start:
             raise ValueError("stable_length below stable_start")
-        if self.distinct_states > self.states_generated:
+        if self.distinct_states > self.states_generated + 1:   # + the initial state
             raise ValueError("distinct states exceed generated states")
 
 

@@ -33,13 +33,23 @@ def parse_property_ref(text: str) -> catalog.CatalogId:
     if not m:
         raise catalog.UnknownProperty(f"cannot read property reference {text!r}")
     name = catalog.resolve_name(m.group("name"))
-    params = tuple(int(x) for x in (m.group("args") or "").split(",") if x.strip())
+    args = [x.strip() for x in (m.group("args") or "").split(",") if x.strip()]
     if name in catalog.LINK_NAMES:
-        return catalog.CatalogId(catalog.LINK, name, params)
-    if name in catalog.SERVER_NAMES:
-        return catalog.CatalogId(catalog.SERVER, name, params)
-    kind = catalog.ASSERTION_MULTI if params else catalog.ASSERTION_SINGLE
-    return catalog.CatalogId(kind, name, params)
+        kind = catalog.LINK
+    elif name in catalog.SERVER_NAMES:
+        kind = catalog.SERVER
+    else:
+        kind = catalog.ASSERTION_MULTI if args else catalog.ASSERTION_SINGLE
+    names = catalog.param_names(kind, name)
+    params = []
+    for k, arg in enumerate(args):
+        try:
+            params.append(int(arg))
+        except ValueError:
+            what = names[k] if k < len(names) else f"#{k + 1}"
+            raise catalog.UnknownProperty(
+                f"{name} parameter {what} expects an integer, got {arg!r}") from None
+    return catalog.CatalogId(kind, name, tuple(params))
 
 
 def _params_dict(pairs) -> dict:

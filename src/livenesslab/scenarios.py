@@ -19,6 +19,8 @@ class TraceBuilder:
 
     Mutate the current picture with the helper methods, then ``commit`` one
     snapshot per tick.  ``build`` closes the trace, optionally as a lasso.
+    The seven histories are frozensets that the helpers replace, so a
+    snapshot shares every history that did not change since the last one.
     """
 
     def __init__(self, config: SystemConfig, roster=None, clients_up=True):
@@ -26,13 +28,8 @@ class TraceBuilder:
         self.roster = set(roster if roster is not None else config.servers)
         self.nf = set(self.roster) | (set(config.clients) if clients_up else set())
         self.primaries: set = set()
-        self.sent: set = set()
-        self.received: set = set()
-        self.voted: set = set()
-        self.learned: set = set()
-        self.executed: set = set()
-        self.requested: set = set()
-        self.responded: set = set()
+        self.sent = self.received = self.voted = self.learned = frozenset()
+        self.executed = self.requested = self.responded = frozenset()
         self.snapshots: list = []
 
     def commit(self) -> "TraceBuilder":
@@ -40,13 +37,13 @@ class TraceBuilder:
             nf_procs=frozenset(self.nf),
             primaries=frozenset(self.primaries),
             roster=frozenset(self.roster),
-            sent=frozenset(self.sent),
-            received=frozenset(self.received),
-            voted=frozenset(self.voted),
-            learned=frozenset(self.learned),
-            executed=frozenset(self.executed),
-            requested=frozenset(self.requested),
-            responded=frozenset(self.responded),
+            sent=self.sent,
+            received=self.received,
+            voted=self.voted,
+            learned=self.learned,
+            executed=self.executed,
+            requested=self.requested,
+            responded=self.responded,
         ))
         return self
 
@@ -63,33 +60,33 @@ class TraceBuilder:
         return self
 
     def send(self, frm, msg, to) -> "TraceBuilder":
-        self.sent.add((frm, msg, to))
+        self.sent |= {(frm, msg, to)}
         return self
 
     def deliver(self, frm, msg, to) -> "TraceBuilder":
-        self.sent.add((frm, msg, to))
-        self.received.add((to, msg, frm))
+        self.sent |= {(frm, msg, to)}
+        self.received |= {(to, msg, frm)}
         return self
 
     def vote(self, server, rnd, slot, value) -> "TraceBuilder":
-        self.voted.add((server, rnd, slot, value))
+        self.voted |= {(server, rnd, slot, value)}
         return self
 
     def learn(self, server, slot, value) -> "TraceBuilder":
-        self.learned.add((server, slot, value))
+        self.learned |= {(server, slot, value)}
         return self
 
     def execute(self, server, slot, value) -> "TraceBuilder":
-        self.executed.add((server, slot, value))
+        self.executed |= {(server, slot, value)}
         return self
 
     def request(self, client, value) -> "TraceBuilder":
-        self.requested.add((client, value))
+        self.requested |= {(client, value)}
         return self
 
     def respond(self, client, value) -> "TraceBuilder":
         # res(v) is modeled as the value itself
-        self.responded.add((client, value, value))
+        self.responded |= {(client, value, value)}
         return self
 
     def set_roster(self, procs) -> "TraceBuilder":

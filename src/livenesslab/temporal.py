@@ -36,7 +36,16 @@ class TimeOutOfRange(TemporalError):
     pass
 
 
-class LassoInconsistent(TemporalError):
+class TraceInconsistent(ValueError):
+    """States that do not form a trace; ``tick`` is the first state at
+    fault, None where no one state is."""
+
+    def __init__(self, message: str, tick: Optional[int] = None):
+        super().__init__(message)
+        self.tick = tick
+
+
+class LassoInconsistent(TemporalError, TraceInconsistent):
     pass
 
 
@@ -218,22 +227,24 @@ class Trace:
         self.loop_start = loop_start
         self._send_events = None
         if not self.states:
-            raise ValueError("a trace needs at least one state")
+            raise TraceInconsistent("a trace needs at least one state")
         histories = [st.histories() for st in self.states]
-        for prev, cur in zip(histories, histories[1:]):
-            for name, before, after in zip(_HISTORY_FIELDS, prev, cur):
+        for t in range(1, len(histories)):
+            for name, before, after in zip(_HISTORY_FIELDS, histories[t - 1], histories[t]):
                 if before is not after and not before <= after:
-                    raise ValueError(f"history field {name} is not monotone")
-        for st in self.states:
+                    raise TraceInconsistent(f"history field {name} is not monotone", t)
+        for t, st in enumerate(self.states):
             flipped = {(s, m, r) for (r, m, s) in st.received}
             if not flipped <= st.sent:
-                raise ValueError("a message was received that was never sent")
+                raise TraceInconsistent("a message was received that was never sent", t)
         if loop_start is not None:
             if not 0 <= loop_start < len(self.states):
                 raise LassoInconsistent("loop_start out of range")
             if histories[loop_start] != histories[-1]:
+                grown = next(t for t in range(loop_start + 1, len(histories))
+                             if histories[t] != histories[loop_start])
                 raise LassoInconsistent(
-                    "cumulative histories differ between loop start and trace end"
+                    "cumulative histories differ between loop start and trace end", grown
                 )
 
     def __len__(self) -> int:
@@ -559,11 +570,11 @@ def violated() -> Verdict:
 # (bit t set where it holds at tick t).  Atoms are membership sweeps over
 # their column, connectives are bitwise, quantifiers combine the masks of
 # their bindings, and alw/evt/lasts/after/during [now+a,now+b] are shifts
-# and ands over the periodic extension of the cycle.  A window whose body
-# has a mask answers from it where that pays (see `_Compiler.window`), one
-# mask per binding of the body's free variables; a mask that raises, or an
-# unhashable binding, leaves the closures to answer, so errors surface
-# exactly where they reach.
+# and ands over the periodic extension of the cycle.  On a lasso a window
+# whose body has a mask answers from it, one mask per call and binding of
+# the body's free variables; a mask that raises, or an unhashable binding,
+# leaves the closures to answer, so errors surface exactly where they
+# reach.
 
 class _TraceIndex:
     """What every evaluation on one trace shares, each part computed when
@@ -621,8 +632,7 @@ class _Context:
     directly and later ticks wrap around the cycle.  ``cols``, ``domains``
     (the config domains, and under "servers" every server on some roster,
     sorted) and ``masks`` (the atom masks) come from the shared index of
-    the trace; ``memo`` holds the window-body masks and per-state answers
-    of this call.
+    the trace; ``memo`` holds the window-body masks of this call.
     """
 
     __slots__ = ("trace", "n", "loop", "period", "size", "full", "cols", "domains",
@@ -812,24 +822,6 @@ def _from_now(env, now):
 _UNSEEN = object()
 
 
-def _per_state(node, free, cols, body):
-    """A body that reads only the state at ``now`` and bound variables
-    answers alike wherever those agree, so its answers are remembered."""
-    def per_state(ctx, env, now):
-        i = now if now < ctx.size else ctx.wrap(now)
-        if i is None:
-            return body(ctx, env, now)
-        key = (node, *[env[k] for k in free], *[ctx.cols[c][i] for c in cols])
-        try:
-            v = ctx.memo.get(key, _UNSEEN)
-        except TypeError:             # an unhashable binding
-            return body(ctx, env, now)
-        if v is _UNSEEN:
-            v = ctx.memo[key] = body(ctx, env, now)
-        return v
-    return per_state
-
-
 # -- lasso masks: bit t of a mask is the value at tick t, for t < ctx.size;
 # the bits of ticks n .. size-1 repeat those of the cycle
 
@@ -925,31 +917,27 @@ def _window_mask(body, lo: int, hi: Optional[int], universal: bool):
 
 def _window_test(ctx, m: int, lo: int, hi: Optional[int], universal: bool) -> bool:
     """What the loop over `_Context.positions` (lo, hi) answers on a lasso
-    for a body whose mask is ``m``: the same ticks, read off the bits."""
-    if lo < 0:
-        lo = 0
-    elif lo >= ctx.n:
+    for a body whose mask is ``m``: the same ticks, read off the bits once
+    ``lo`` is moved back a whole number of cycles into the mask."""
+    if lo >= ctx.n:
         back = lo - ctx.wrap(lo)
         lo -= back
         if hi is not None:
             hi -= back
-    top = (lo if lo > ctx.loop else ctx.loop) + ctx.period - 1
-    if hi is not None and hi < top:
-        top = hi
-    if top < lo:
-        return universal
-    ones = (1 << (top - lo + 1)) - 1
-    bits = (m >> lo) & ones
+    ticks, _tail = ctx.positions(lo, hi)
+    ones = (1 << len(ticks)) - 1
+    bits = (m >> ticks.start) & ones
     return bits == ones if universal else bits != 0
 
 
-def _body_mask(node, free, mask):
+def _body_mask(free, mask):
     """The mask of a window body for the binding of its ``free`` slots,
-    built once per call; None where the closures must answer instead."""
+    built once per call and kept in ``ctx.memo`` under the mask function
+    and the binding; None where the closures must answer instead."""
     binding = itemgetter(*free) if free else None
 
     def body_mask(ctx, env):
-        key = node if binding is None else (node, binding(env))
+        key = mask if binding is None else (mask, binding(env))
         try:
             m = ctx.memo.get(key, _UNSEEN)
         except TypeError:             # an unhashable binding
@@ -1057,22 +1045,13 @@ class _Program(NamedTuple):
 
 class _Compiler:
     """Compiles one expression into its closure and, where it has one, its
-    mask function, and notes what each loop body uses.
-
-    ``uses`` collects, for the subtree being compiled, the slots it reads,
-    ``("col", k)`` for each column it reads, and the flags "time" (a time
-    term), "loop" (a loop over ticks), "quantifier" (a quantifier over
-    values) and "quantifiers" (one nested in another).  ``loops`` holds the
-    slots bound by each enclosing loop over ticks: none for
-    alw/evt/during/lasts/after.
-    """
+    mask function.  ``uses`` collects the slots the subtree being compiled
+    reads, so a window knows the free variables of its body."""
 
     def __init__(self):
         self.nslots = 0
         self.columns: dict = {}
         self.uses: set = set()
-        self.loops: list = []
-        self.nodes = 0
 
     def program(self, expr: PropertyExpr, bound=()) -> _Program:
         scope = {name: k for k, name in enumerate(bound)}
@@ -1088,14 +1067,7 @@ class _Compiler:
         return compile_node(self, e, scope, depth)
 
     def column(self, name: str) -> int:
-        k = self.columns.setdefault(name, len(self.columns))
-        self.uses.add(("col", k))
-        return k
-
-    def node(self) -> int:
-        """A fresh id for a node that keeps answers in ``ctx.memo``."""
-        self.nodes += 1
-        return self.nodes
+        return self.columns.setdefault(name, len(self.columns))
 
     def bind(self, scope: dict, depth: int, names):
         """Fresh slots for ``names``; a repeated name keeps one slot, so
@@ -1113,19 +1085,6 @@ class _Compiler:
         self.uses.add(scope[name])
         return scope[name]
 
-    def loop_body(self, body, scope, depth, slots=()):
-        """Compile the body of a loop over ticks binding ``slots``; returns
-        its closure, its mask function and what it uses."""
-        outer, self.uses = self.uses, set()
-        self.loops.append(frozenset(slots))
-        try:
-            fn, mask = self.expr(body, scope, depth)
-        finally:
-            self.loops.pop()
-            uses = self.uses
-            self.uses = outer | uses | {"loop"}
-        return fn, mask, uses
-
     # -- terms, times and domains: functions of (env, now) or (ctx, env, now)
 
     def term(self, term, scope: dict, what: str = "variable"):
@@ -1138,7 +1097,6 @@ class _Compiler:
 
     def time(self, term, scope: dict, offset: int = 0):
         """The tick ``term`` names, plus ``offset``."""
-        self.uses.add("time")
         if isinstance(term, TLit):
             value = term.value
             if not offset:
@@ -1274,13 +1232,11 @@ class _Compiler:
         if isinstance(dom, TickDomain):
             bounds = self.interval(dom.interval, scope)
             inner, (k,), depth = self.bind(scope, depth, (e.var,))
-            body, _mask, _uses = self.loop_body(e.body, inner, depth, (k,))
+            body, _mask = self.expr(e.body, inner, depth)
             return _window(bounds, body, universal, slot=k), None
         members = self.domain(dom, scope)
         inner, (k,), depth = self.bind(scope, depth, (e.var,))
-        outer, self.uses = self.uses, set()
         body, mask = self.expr(e.body, inner, depth)
-        self.uses |= outer | {"quantifiers" if "quantifier" in self.uses else "quantifier"}
         fn = _quantifier(members, k, body, universal)
         roster = isinstance(dom, NamedDomain) and dom.name == "servers"
         if mask is None or roster and dom.at is not None:   # read at another tick
@@ -1293,7 +1249,7 @@ class _Compiler:
         universal = isinstance(e, EachSent)
         names = (e.sender, e.message, e.receiver) + ((e.time_var,) if e.time_var else ())
         inner, slots, depth = self.bind(scope, depth, names)
-        body, _mask, _uses = self.loop_body(e.body, inner, depth, slots)
+        body, _mask = self.expr(e.body, inner, depth)
         s, m, r = slots[:3]
         tick = slots[3] if e.time_var else None
 
@@ -1316,24 +1272,14 @@ class _Compiler:
     def window(self, e, scope, depth, bounds, offsets, universal=True):
         """alw/evt/during/lasts/after: a loop over the ticks in ``bounds``.
         On lassos it answers from the body's mask, if the body has one,
-        where that pays: when the body holds a loop over ticks itself, or
-        when an enclosing loop over ticks comes back to the same binding of
-        the body's free variables.  Otherwise each binding is met once and
-        the loop, stopping at its first decisive tick, is cheaper; a body
-        that reads only the current state keeps per-state answers there if
-        it nests quantifiers, which makes it costly enough to pay for the
-        lookup.  ``offsets`` are the bounds relative to now when they are
-        constant (see `_now_offsets`), which gives the window a mask of its
-        own."""
-        body, mask, uses = self.loop_body(e.body, scope, depth)
-        free = sorted(u for u in uses if isinstance(u, int) and u < depth)
-        if "quantifiers" in uses and not uses & {"time", "loop"}:
-            cols = sorted(u[1] for u in uses if isinstance(u, tuple))
-            body = _per_state(self.node(), free, cols, body)
-        body_mask = None
-        if mask is not None and ("loop" in uses or any(
-                not bound.intersection(free) for bound in self.loops)):
-            body_mask = _body_mask(self.node(), free, mask)
+        built once per call and binding of the body's free variables.
+        ``offsets`` are the bounds relative to now when they are constant
+        (see `_now_offsets`), which gives the window a mask of its own."""
+        outer, self.uses = self.uses, set()
+        body, mask = self.expr(e.body, scope, depth)
+        free = sorted(k for k in self.uses if k < depth)
+        self.uses |= outer
+        body_mask = mask and _body_mask(free, mask)
         fn = _window(bounds, body, universal, body_mask=body_mask)
         return fn, mask and offsets and _window_mask(mask, *offsets, universal)
 

@@ -15,7 +15,7 @@ from typing import IO, Optional
 from .adversary import AssumptionTarget, Demand, Schedule
 from .catalog import CatalogError, CatalogId
 from .machine import MachineError, SystemConfig
-from .temporal import ObservationState, Trace
+from .temporal import ObservationState, Trace, TraceInconsistent
 
 _SET_FIELDS = (
     "nf_procs", "primaries", "roster", "sent", "received", "voted",
@@ -173,13 +173,23 @@ def read_trace(fp: IO[str]) -> Trace:
     states = []
     for n, rec in records[1:]:
         try:
-            states.append(ObservationState(**{
-                f: frozenset(_frozen(v) for v in rec[f]) for f in _SET_FIELDS}))
+            values = [rec[f] for f in _SET_FIELDS]
         except KeyError as exc:
             raise TraceFormatError(n, f"state record lacks {exc.args[0]!r}") from None
+        for f, v in zip(_SET_FIELDS, values):
+            if not isinstance(v, list):
+                raise TraceFormatError(n, f"{f} must be a list, got {v!r}")
+        try:
+            states.append(ObservationState(**{
+                f: frozenset(map(_frozen, v)) for f, v in zip(_SET_FIELDS, values)}))
         except TypeError as exc:
             raise TraceFormatError(n, f"bad state record: {exc}") from None
-    return Trace(states, config, loop_start=_int_or_null(line, header, "loop_start"))
+    loop_start = _int_or_null(line, header, "loop_start")
+    try:
+        return Trace(states, config, loop_start=loop_start)
+    except TraceInconsistent as exc:
+        at = line if exc.tick is None else records[1 + exc.tick][0]
+        raise TraceFormatError(at, str(exc)) from None
 
 
 def trace_to_text(trace: Trace) -> str:

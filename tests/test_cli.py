@@ -23,6 +23,14 @@ def test_modelcheck_documented_line(capsys):
     assert out.startswith("start=0 length=7 states=62 distinct_states=37 seconds=")
 
 
+def test_modelcheck_with_one_acceptor(capsys):
+    # every generated state is new, so the initial state is the one more
+    code, out, _err = run(capsys, "modelcheck", "--proposers", "1",
+                          "--acceptors", "1", "--start", "0")
+    assert code == 0
+    assert out.startswith("start=0 length=4 states=4 distinct_states=5 seconds=")
+
+
 def test_modelcheck_csv_columns(tmp_path, capsys):
     csv = tmp_path / "stable.csv"
     code, out, _err = run(capsys, "modelcheck", "--proposers", "2",
@@ -189,7 +197,8 @@ def test_trace_check_inconsistent_loop_start_is_usage(tmp_path, capsys):
     code, _out, err = run(capsys, "trace", "check", str(lasso),
                           "--property", "Some-Learn")
     assert code == 2
-    assert err.startswith("error: cumulative histories differ")
+    assert err.strip() == ("error: line 3: cumulative histories differ "
+                           "between loop start and trace end")
 
 
 def test_catalog_reference_missing_its_parameter_is_named(tmp_path, capsys):
@@ -204,6 +213,7 @@ def test_catalog_reference_missing_its_parameter_is_named(tmp_path, capsys):
     ("Sure(1,2)", "Sure takes 1 parameter(s), got (1, 2)"),
     ("PQ-Dur(1,2,3)", "PQ-Dur takes 1 parameter(s), got (1, 2, 3)"),
     ("Fair(1)", "Fair takes 0 parameter(s), got (1,)"),
+    ("Sure(x)", "Sure parameter D expects an integer, got 'x'"),
 ])
 def test_catalog_reference_with_the_wrong_parameter_count_is_named(tmp_path, capsys,
                                                                    ref, message):

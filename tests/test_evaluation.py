@@ -182,6 +182,63 @@ def test_window_and_fault_outcomes_golden_digest():
     assert digest == WINDOW_OUTCOMES_SHA256
 
 
+def _machine_catalog():
+    """Every catalog property with the parameters the machine digest pins."""
+    cids = [CatalogId("link", "Raw"), CatalogId("link", "Fair")]
+    cids += [CatalogId("link", "Sure", (d,)) for d in (0, 2)]
+    for name in ("Alw-Q", "Q-Alw", "P-Alw-Q", "PQ-Alw", "Alw"):
+        cids.append(CatalogId("server", name))
+    cids += [CatalogId("server", "PQ-Dur", (d,)) for d in (0, 2)]
+    cids.append(CatalogId("server", "PQ-Extra-Dur", (2, 2)))
+    for name in ("Each-Vote", "Some-Learn", "Each-Learn", "Some-Exec", "Each-Exec", "Resp"):
+        cids.append(CatalogId("assertion-single", name))
+        cids.append(CatalogId("assertion-multi", name, () if name == "Resp" else (1,)))
+    return cids
+
+
+def _demand_targets():
+    """The 6 link x 14 server demands the simulator realizes."""
+    from livenesslab.adversary import SATISFY, VIOLATE, AssumptionTarget, Demand
+
+    links = [("Raw", (), SATISFY), ("Fair", (), SATISFY), ("Sure", (8,), SATISFY),
+             ("Fair", (), VIOLATE), ("Raw", (), VIOLATE), ("Sure", (3,), VIOLATE)]
+    servers = [(name, params, mode)
+               for name, params in (("Alw-Q", ()), ("Q-Alw", ()), ("P-Alw-Q", ()),
+                                    ("PQ-Alw", ()), ("Alw", ()), ("PQ-Dur", (3,)),
+                                    ("PQ-Extra-Dur", (2, 2)))
+               for mode in (SATISFY, VIOLATE)]
+    return [AssumptionTarget(Demand(CatalogId("link", ln, lp), lm),
+                             Demand(CatalogId("server", sn, sp), sm))
+            for ln, lp, lm in links for sn, sp, sm in servers]
+
+
+#: sha256 over the outcomes of `test_machine_trace_outcomes_golden_digest`,
+#: captured before every window with a body mask answered from it
+MACHINE_OUTCOMES_SHA256 = "ed0b24eb72b88533eb86f83b35b08cfea9e854d2d475789583c404f050c4b857"
+
+
+def test_machine_trace_outcomes_golden_digest():
+    # lassos of the Paxos machine as the simulator realizes them, whose
+    # states repeat often: inputs the random lassos above do not cover
+    from livenesslab.adversary import CannotRealize, simulate
+    from livenesslab.machine import make_config
+
+    config = make_config(2, 3)
+    cids = _machine_catalog()
+    lines = []
+    for target in _demand_targets():
+        try:
+            _schedule, trace, _verdicts = simulate(target, config, seed=0)
+        except CannotRealize as exc:
+            lines.append(f"unrealized: {exc}")
+            continue
+        lines.append(f"trace: {len(trace)} loop {trace.loop_start}")
+        lines += [f"{cid.label()}: {_outcome(build(cid), trace)}" for cid in cids]
+    assert sum(line.startswith("trace") for line in lines) > 60
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == MACHINE_OUTCOMES_SHA256
+
+
 def test_windowed_lasso_eval_agrees_with_naive_oracle():
     rng = random.Random(3141)
     decided = 0

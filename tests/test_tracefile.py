@@ -64,6 +64,12 @@ def _broken_trace_text(edit):
     return "\n".join(lines) + "\n"
 
 
+def _set_field(lines, n, field, value):
+    rec = json.loads(lines[n])
+    rec[field] = value
+    lines[n] = json.dumps(rec)
+
+
 def _drop_field(lines, n, field):
     rec = json.loads(lines[n])
     del rec[field]
@@ -84,6 +90,14 @@ def test_malformed_trace_files_name_the_line():
          1, "loop_start must be an integer or null, got '8'"),
         (lambda ls: ls.__setitem__(4, ls[4][:-1]), 5, "bad JSON"),
         (lambda ls: ls.insert(3, ls[0]), 4, "unexpected record kind 'header'"),
+        (lambda ls: _set_field(ls, 2, "nf_procs", "s1s2"), 3,
+         "nf_procs must be a list, got 's1s2'"),
+        (lambda ls: _set_field(ls, 4, "voted", []), 5, "history field voted is not monotone"),
+        (lambda ls: _set_field(ls, 10, "received", [["s2", "m", "s1"]]), 11,
+         "a message was received that was never sent"),
+        (lambda ls: _set_field(ls, 0, "loop_start", 6), 9,   # tick 7 votes again
+         "cumulative histories differ between loop start and trace end"),
+        (lambda ls: _set_field(ls, 0, "loop_start", 40), 1, "loop_start out of range"),
     ]
     for edit, line, message in cases:
         with pytest.raises(TraceFormatError) as exc:

@@ -17,7 +17,7 @@ from typing import Optional
 from . import machine as mc
 from .catalog import LINK, SERVER, CatalogId, build
 from .machine import SystemConfig
-from .temporal import TemporalError, Trace, Verdict, eval_expr
+from .temporal import Trace, TraceInconsistent, Verdict, eval_expr
 
 
 class AdversaryError(Exception):
@@ -70,16 +70,20 @@ class Schedule:
 
 
 def run_schedule(schedule: Schedule) -> Trace:
-    """Replay a schedule; every selector must resolve in the enabled set."""
+    """Replay a schedule; every selector must resolve in the enabled set and
+    the run must close into the lasso the schedule names (AdversaryError)."""
     st = mc.init(schedule.config)
     states = [st]
-    for k, rank in enumerate(schedule.steps):
-        acts = mc.enabled(st)
-        if not 0 <= rank < len(acts):
-            raise AdversaryError(f"step {k}: rank {rank} outside {len(acts)} actions")
-        st = mc.apply_action(st, acts[rank], check=False)
-        states.append(st)
-    return mc.trace_of(states, loop_start=schedule.loop_start)
+    try:
+        for k, rank in enumerate(schedule.steps):
+            acts = mc.enabled(st)
+            if not 0 <= rank < len(acts):
+                raise AdversaryError(f"step {k}: rank {rank} outside {len(acts)} actions")
+            st = mc.apply_action(st, acts[rank], check=False)
+            states.append(st)
+        return mc.trace_of(states, loop_start=schedule.loop_start)
+    except (mc.MachineError, TraceInconsistent) as exc:
+        raise AdversaryError(str(exc)) from None
 
 
 def validate(trace: Trace, target: AssumptionTarget) -> tuple:
@@ -364,7 +368,7 @@ def simulate(target: AssumptionTarget, config: SystemConfig, seed: int,
                             loop_start=loop_start, seed=seed, target=target)
         try:
             trace = run_schedule(schedule)
-        except (AdversaryError, TemporalError) as exc:  # e.g. an inconsistent lasso
+        except AdversaryError as exc:  # e.g. an inconsistent lasso
             failure = str(exc)
             continue
         verdicts = validate(trace, target)

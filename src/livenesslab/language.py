@@ -65,13 +65,6 @@ class UnboundParameter(LanguageError):
         super().__init__(f"parameter {name!r} has no binding")
 
 
-_KEYWORDS = {
-    "each", "some", "has", "in", "and", "or", "implies", "not", "evt", "alw",
-    "during", "lasts", "after", "at", "nf", "is_primary", "sent", "received",
-    "voted", "learned", "executed", "to", "from", "servers", "clients",
-    "quorums", "values", "rounds", "inf", "true", "false", "res",
-}
-
 _DOMAIN_NAMES = ("servers", "clients", "quorums", "values", "rounds")
 
 _TOKEN_RE = re.compile(
@@ -177,6 +170,15 @@ _POSTFIX = {
     "lasts": (Lasts, "duration", "int_or_param", str),
     "after": (After, "duration", "int_or_param", str),
     "at": (At, "time", "time_term", _time_text),
+}
+
+#: words that cannot name a variable: the literal words and every word of
+#: the tables above
+_KEYWORDS = {
+    "each", "some", "has", "in", "inf", "true", "false", *_PREFIX, *_POSTFIX, *_DOMAIN_NAMES,
+    *(word for word, _cls, _right in _BINARY),
+    *(tok for pattern in _ATOM_PATTERNS.values() for tok in pattern
+      if isinstance(tok, str) and tok.isidentifier()),
 }
 
 # printing precedences: a quantifier, then the binary levels, then the rest

@@ -350,6 +350,11 @@ def _check_safety(obs: ObservationState, config: SystemConfig) -> None:
             )
 
 
+def _grown(old: frozenset, added: set) -> frozenset:
+    """``old`` with ``added``; ``old`` itself where that adds nothing."""
+    return old if added <= old else old | added
+
+
 def apply_action(state: MachineState, action, check: bool = True) -> MachineState:
     """Apply one enabled action; tick advances by one."""
     if check and action not in enabled(state):
@@ -358,11 +363,8 @@ def apply_action(state: MachineState, action, check: bool = True) -> MachineStat
     cfg = state.config
     obs = state.obs
     pending = set(state.pending)
-    sent = set(obs.sent)
-    received = set(obs.received)
-    voted = set(obs.voted)
-    learned = set(obs.learned)
-    primaries = set(obs.primaries)
+    sent, received, voted, learned = set(), set(), set(), set()   # what the action adds
+    primaries = obs.primaries
     nf = obs.nf_procs
     ballots = state.ballots
     prop_round = dict(state.prop_round)
@@ -372,7 +374,8 @@ def apply_action(state: MachineState, action, check: bool = True) -> MachineStat
 
     def send(msg: Msg):
         sent.add((msg.sender, msg.wire(), msg.receiver))
-        if (msg.receiver, msg.wire(), msg.sender) not in received:
+        receipt = (msg.receiver, msg.wire(), msg.sender)
+        if receipt not in obs.received and receipt not in received:
             pending.add(msg)
 
     def receive(msg: Msg):
@@ -386,7 +389,7 @@ def apply_action(state: MachineState, action, check: bool = True) -> MachineStat
         prop_round[p] = rnd
         for a in cfg.acceptors:
             send(Msg("1a", rnd, p, a))
-        primaries = {max(ballots)[1]}
+        primaries = frozenset({max(ballots)[1]})
     elif isinstance(action, ProposerSendPrepare):
         p = action.proposer
         rnd = prop_round[p]
@@ -434,11 +437,11 @@ def apply_action(state: MachineState, action, check: bool = True) -> MachineStat
     new_obs = replace(
         obs,
         nf_procs=nf,
-        primaries=frozenset(primaries),
-        sent=frozenset(sent),
-        received=frozenset(received),
-        voted=frozenset(voted),
-        learned=frozenset(learned),
+        primaries=obs.primaries if primaries == obs.primaries else primaries,
+        sent=_grown(obs.sent, sent),
+        received=_grown(obs.received, received),
+        voted=_grown(obs.voted, voted),
+        learned=_grown(obs.learned, learned),
     )
     _check_safety(new_obs, cfg)
     return MachineState(

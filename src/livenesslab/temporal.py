@@ -219,13 +219,12 @@ class Trace:
     final state, otherwise the wrap-around would shrink a monotone set.
     """
 
-    __slots__ = ("states", "loop_start", "config", "_send_events")
+    __slots__ = ("states", "loop_start", "config")
 
     def __init__(self, states: Iterable[ObservationState], config, loop_start: Optional[int] = None):
         self.states = tuple(states)
         self.config = config
         self.loop_start = loop_start
-        self._send_events = None
         if not self.states:
             raise TraceInconsistent("a trace needs at least one state")
         histories = [st.histories() for st in self.states]
@@ -266,19 +265,6 @@ class Trace:
             return None
         lam, p = self.loop_start, self.period
         return self.states[lam + (t - lam) % p]
-
-    def send_events(self):
-        """All (sender, message, receiver, first-send-tick) tuples."""
-        if self._send_events is None:
-            seen = {}
-            for t, st in enumerate(self.states):
-                for triple in st.sent:
-                    if triple not in seen:
-                        seen[triple] = t
-            self._send_events = tuple(
-                sorted((s, m, r, t) for (s, m, r), t in seen.items())
-            )
-        return self._send_events
 
     def unrolled(self, extra_cycles: int = 2) -> "Trace":
         """Finite unrolling of a lasso: prefix plus `extra_cycles` more cycles."""
@@ -562,7 +548,7 @@ def violated() -> Verdict:
 # before anything is evaluated.  Every other error (an unknown atom or
 # domain, a bad time) is raised only when evaluation reaches it, visiting
 # subexpressions left to right with the usual short-circuits.  ``ctx`` is
-# the `_Context` of one evaluation.
+# the `_TraceIndex` of the trace evaluated.
 #
 # A subexpression without time terms, tick quantifiers or send quantifiers
 # also compiles to a mask function ``m(ctx, env)``: on a lasso it returns
@@ -571,88 +557,36 @@ def violated() -> Verdict:
 # their column, connectives are bitwise, quantifiers combine the masks of
 # their bindings, and alw/evt/lasts/after/during [now+a,now+b] are shifts
 # and ands over the periodic extension of the cycle.  On a lasso a window
-# whose body has a mask answers from it, one mask per call and binding of
+# whose body has a mask answers from it, one mask per trace and binding of
 # the body's free variables; a mask that raises, or an unhashable binding,
 # leaves the closures to answer, so errors surface exactly where they
 # reach.
 
 class _TraceIndex:
-    """What every evaluation on one trace shares, each part computed when
+    """Everything evaluation derives from one trace, each part computed when
     first asked for: the state columns over the states extended by one
-    cycle, the config domains, and the atom masks keyed (column, key).
-    Each part is a pure function of the trace, so threads that fill the
-    same entry at once store equal values and need no lock."""
+    cycle, keyed by name (`_COLUMNS`); the config domains, and under
+    "servers" every server on some roster, sorted; and the masks, of atoms
+    keyed (column, key) and of window bodies keyed by mask function and
+    binding.  Each part is a pure function of the trace, so threads that
+    fill the same entry at once store equal values and need no lock."""
 
-    __slots__ = ("trace", "states", "loop", "config", "extended", "n", "period",
-                 "size", "full", "cols", "programs", "domains", "masks")
+    __slots__ = ("trace", "states", "loop", "config", "n", "period", "size", "full",
+                 "cols", "domains", "masks")
 
     def __init__(self, trace: Trace):
         self.trace = trace
         self.states = states = trace.states
         self.loop = loop = trace.loop_start
         self.config = trace.config
-        self.extended = states if loop is None else states + states[loop:]
+        extended = states if loop is None else states + states[loop:]
         self.n = len(states)
         self.period = trace.period
-        self.size = len(self.extended)
+        self.size = len(extended)
         self.full = (1 << self.size) - 1
-        self.cols: dict = {}
-        self.programs: dict = {}
+        self.cols = _Columns(extended)
         self.domains: dict = {}
         self.masks: dict = {}
-
-    def fits(self, trace: Trace) -> bool:
-        return (self.trace is trace and self.states is trace.states
-                and self.loop == trace.loop_start and self.config is trace.config)
-
-    def columns(self, names: tuple) -> list:
-        """The columns ``names``, in that order, as a program reads them."""
-        cols = self.programs.get(names)
-        if cols is None:
-            cols = self.programs[names] = [self.column(name) for name in names]
-        return cols
-
-    def column(self, name: str) -> list:
-        col = self.cols.get(name)
-        if col is None:
-            col = self.cols[name] = _COLUMNS[name](self.extended)
-        return col
-
-
-#: the index of the last trace evaluated: the properties checked one after
-#: another on a trace share it, and the next trace replaces it
-_last_index: Optional[_TraceIndex] = None
-
-
-class _Context:
-    """What one evaluation reads of its trace.
-
-    ``cols`` holds the state columns the program uses, one entry per tick
-    over the states extended by one cycle, so most ticks index them
-    directly and later ticks wrap around the cycle.  ``cols``, ``domains``
-    (the config domains, and under "servers" every server on some roster,
-    sorted) and ``masks`` (the atom masks) come from the shared index of
-    the trace; ``memo`` holds the window-body masks of this call.
-    """
-
-    __slots__ = ("trace", "n", "loop", "period", "size", "full", "cols", "domains",
-                 "masks", "memo")
-
-    def __init__(self, trace: Trace, columns: tuple):
-        global _last_index
-        index = _last_index
-        if index is None or not index.fits(trace):
-            index = _last_index = _TraceIndex(trace)
-        self.trace = trace
-        self.n = index.n
-        self.loop = index.loop
-        self.period = index.period
-        self.size = index.size
-        self.full = index.full
-        self.cols = index.columns(columns)
-        self.domains = index.domains
-        self.masks = index.masks
-        self.memo = {}
 
     def wrap(self, t: int):
         """Column index of tick t >= size; None past the end of a finite trace."""
@@ -665,6 +599,14 @@ class _Context:
         if t < 0:
             raise TimeOutOfRange(f"tick {t} is negative")
         return t if t < self.size else self.wrap(t)
+
+    def at(self, name: str, t: int):
+        """Column ``name`` at tick t >= 0; None past the end of a finite trace."""
+        if t >= self.size:
+            t = self.wrap(t)
+            if t is None:
+                return None
+        return self.cols[name][t]
 
     def positions(self, lo: int, hi: Optional[int]):
         """Ticks to enumerate for [lo, hi] plus whether an unknown tail remains.
@@ -683,6 +625,33 @@ class _Context:
         if hi is None or hi > last:
             return range(lo, last + 1), True
         return range(lo, hi + 1), False
+
+
+class _Columns(dict):
+    """State columns by name, one entry per extended state, each built on
+    its first read."""
+
+    def __init__(self, states: tuple):
+        super().__init__()
+        self.states = states
+
+    def __missing__(self, name: str) -> list:
+        col = self[name] = _COLUMNS[name](self.states)
+        return col
+
+
+#: the index of the last trace evaluated: the properties checked one after
+#: another on a trace share it, and the next trace replaces it
+_last_index: Optional[_TraceIndex] = None
+
+
+def _index_of(trace: Trace) -> _TraceIndex:
+    global _last_index
+    index = _last_index
+    if (index is None or index.trace is not trace or index.states is not trace.states
+            or index.loop != trace.loop_start or index.config is not trace.config):
+        index = _last_index = _TraceIndex(trace)
+    return index
 
 
 def _field(name):
@@ -716,6 +685,21 @@ def _sorted_rosters(states):
     return out
 
 
+def _send_events(states):
+    """All (sender, message, receiver, first-send tick) tuples, sorted."""
+    seen = {}
+    for t, st in enumerate(states):
+        for triple in st.sent:
+            if triple not in seen:
+                seen[triple] = t
+    events = [(s, m, r, t) for (s, m, r), t in seen.items()]
+    try:
+        return sorted(events)
+    except TypeError:                 # messages of kinds that do not compare
+        return sorted(events, key=repr)
+
+
+#: name -> its column over a list of states; "send_events" is not per tick
 _COLUMNS = {
     **{name: _field(name) for name in ("nf_procs", "primaries", "roster") + _HISTORY_FIELDS},
     "voted3": _projection("voted", itemgetter(0, 1, 3)),
@@ -724,6 +708,7 @@ _COLUMNS = {
     "responded2": _projection("responded", itemgetter(0, 1)),
     "servers": _sorted_rosters,
     "servers_nf": lambda states: [st.nf_procs.issuperset(st.roster) for st in states],
+    "send_events": _send_events,
 }
 
 def _config_values(config, name: str) -> list:
@@ -825,24 +810,24 @@ _UNSEEN = object()
 # -- lasso masks: bit t of a mask is the value at tick t, for t < ctx.size;
 # the bits of ticks n .. size-1 repeat those of the cycle
 
-def _membership(ctx, name: str, col: int, key) -> int:
+def _membership(ctx, name: str, key) -> int:
     """Where ``key`` is in the column ``name``, cached per trace."""
     m = ctx.masks.get((name, key))
     if m is None:
         m = 0
-        for t, members in enumerate(ctx.cols[col]):
+        for t, members in enumerate(ctx.cols[name]):
             if key in members:
                 m |= 1 << t
         ctx.masks[(name, key)] = m
     return m
 
 
-def _truth(ctx, name: str, col: int) -> int:
+def _truth(ctx, name: str) -> int:
     """Where the boolean column ``name`` is true, cached per trace."""
     m = ctx.masks.get(name)
     if m is None:
         m = 0
-        for t, flag in enumerate(ctx.cols[col]):
+        for t, flag in enumerate(ctx.cols[name]):
             if flag:
                 m |= 1 << t
         ctx.masks[name] = m
@@ -916,7 +901,7 @@ def _window_mask(body, lo: int, hi: Optional[int], universal: bool):
 
 
 def _window_test(ctx, m: int, lo: int, hi: Optional[int], universal: bool) -> bool:
-    """What the loop over `_Context.positions` (lo, hi) answers on a lasso
+    """What the loop over `_TraceIndex.positions` (lo, hi) answers on a lasso
     for a body whose mask is ``m``: the same ticks, read off the bits once
     ``lo`` is moved back a whole number of cycles into the mask."""
     if lo >= ctx.n:
@@ -932,14 +917,14 @@ def _window_test(ctx, m: int, lo: int, hi: Optional[int], universal: bool) -> bo
 
 def _body_mask(free, mask):
     """The mask of a window body for the binding of its ``free`` slots,
-    built once per call and kept in ``ctx.memo`` under the mask function
+    built once per trace and kept in ``ctx.masks`` under the mask function
     and the binding; None where the closures must answer instead."""
     binding = itemgetter(*free) if free else None
 
     def body_mask(ctx, env):
         key = mask if binding is None else (mask, binding(env))
         try:
-            m = ctx.memo.get(key, _UNSEEN)
+            m = ctx.masks.get(key, _UNSEEN)
         except TypeError:             # an unhashable binding
             return None
         if m is _UNSEEN:
@@ -947,7 +932,7 @@ def _body_mask(free, mask):
                 m = mask(ctx, env)
             except Exception:         # raised again where the closures reach it
                 m = None
-            ctx.memo[key] = m
+            ctx.masks[key] = m
         return m
     return body_mask
 
@@ -991,20 +976,20 @@ def _quantifier_mask(members, slot, body, universal):
     return quantifier
 
 
-def _servers_mask(col, slot, body, universal):
+def _servers_mask(slot, body, universal):
     """Over the roster: each server counts at the ticks it is on it.  The
     servers of every roster are taken in sorted order, so the loop may stop
     where those so far decide every tick, as `_quantifier_mask` does."""
     def quantifier(ctx, env):
         servers = ctx.domains.get("servers")
         if servers is None:
-            servers = ctx.domains["servers"] = sorted(frozenset().union(*ctx.cols[col]))
+            servers = ctx.domains["servers"] = sorted(frozenset().union(*ctx.cols["servers"]))
         full = ctx.full
         decided = 0 if universal else full
         m = full ^ decided
         for value in servers:
             env[slot] = value
-            on = _membership(ctx, "servers", col, value)
+            on = _membership(ctx, "servers", value)
             if universal:
                 m &= (full ^ on) | body(ctx, env)
             else:
@@ -1040,7 +1025,6 @@ def _now_offsets(ivl: Interval):
 class _Program(NamedTuple):
     fn: Callable
     nslots: int
-    columns: tuple
 
 
 class _Compiler:
@@ -1050,14 +1034,13 @@ class _Compiler:
 
     def __init__(self):
         self.nslots = 0
-        self.columns: dict = {}
         self.uses: set = set()
 
     def program(self, expr: PropertyExpr, bound=()) -> _Program:
         scope = {name: k for k, name in enumerate(bound)}
         self.nslots = len(scope)
         fn, _mask = self.expr(expr, scope, len(scope))
-        return _Program(fn, self.nslots, tuple(self.columns))
+        return _Program(fn, self.nslots)
 
     def expr(self, e, scope: dict, depth: int):
         """(closure, mask function or None) of ``e``."""
@@ -1065,9 +1048,6 @@ class _Compiler:
         if compile_node is None:
             raise TypeError(f"not a property expression: {e!r}")
         return compile_node(self, e, scope, depth)
-
-    def column(self, name: str) -> int:
-        return self.columns.setdefault(name, len(self.columns))
 
     def bind(self, scope: dict, depth: int, names):
         """Fresh slots for ``names``; a repeated name keeps one slot, so
@@ -1120,7 +1100,7 @@ class _Compiler:
 
     def interval(self, ivl: Interval, scope: dict):
         """Inclusive (lo, hi) bounds as Interval.bounds computes them, except
-        that `_Context.positions` clamps lo at 0."""
+        that `_TraceIndex.positions` clamps lo at 0."""
         lo = self.time(ivl.lo, scope)
         lo_shift = 0 if ivl.lo_closed else 1
         if ivl.hi is None:
@@ -1131,20 +1111,13 @@ class _Compiler:
 
     def domain(self, dom, scope: dict):
         if isinstance(dom, NamedDomain) and dom.name == "servers":
-            col = self.column("servers")
-            if dom.at is None:
-                def servers(ctx, env, now):
-                    if now >= ctx.size:
-                        now = ctx.wrap(now)
-                        if now is None:
-                            return None   # roster unknown past a finite trace
-                    return ctx.cols[col][now]
-                return servers
+            if dom.at is None:    # None (unknown) past the end of a finite trace
+                return lambda ctx, env, now: ctx.at("servers", now)
             at = self.time(dom.at, scope)
 
             def servers_at(ctx, env, now):
                 i = ctx.index(at(env, now))
-                return None if i is None else ctx.cols[col][i]
+                return None if i is None else ctx.cols["servers"][i]
             return servers_at
         if isinstance(dom, NamedDomain):
             if dom.at is not None:
@@ -1154,7 +1127,7 @@ class _Compiler:
             def config_domain(ctx, env, now):
                 values = ctx.domains.get(name)
                 if values is None:
-                    values = ctx.domains[name] = _config_values(ctx.trace.config, name)
+                    values = ctx.domains[name] = _config_values(ctx.config, name)
                 return values
             return config_domain
         if isinstance(dom, SlotRange):
@@ -1182,7 +1155,6 @@ class _Compiler:
                 raise DomainUnknown(message)
             return unknown, _fail(DomainUnknown, message)
         name = form.column
-        col = self.column(name)
         picks = form.key
         if all(isinstance(e.args[i], Var) for i in picks):
             key = itemgetter(*(scope[e.args[i].name] for i in picks))
@@ -1192,16 +1164,13 @@ class _Compiler:
             key = lambda env: tuple(args[i](env) for i in picks)   # noqa: E731
 
         def atom(ctx, env, now):
-            if now >= ctx.size:
-                now = ctx.wrap(now)
-                if now is None:
-                    return None
-            return key(env) in ctx.cols[col][now]
+            members = ctx.at(name, now)
+            return None if members is None else key(env) in members
 
         def atom_mask(ctx, env):
             k = key(env)
             m = ctx.masks.get((name, k))     # the hit, without a call
-            return _membership(ctx, name, col, k) if m is None else m
+            return _membership(ctx, name, k) if m is None else m
         return atom, atom_mask
 
     def not_(self, e: Not, scope, depth):
@@ -1242,7 +1211,7 @@ class _Compiler:
         if mask is None or roster and dom.at is not None:   # read at another tick
             return fn, None
         if roster:
-            return fn, _servers_mask(self.columns["servers"], k, mask, universal)
+            return fn, _servers_mask(k, mask, universal)
         return fn, _quantifier_mask(members, k, mask, universal)
 
     def sent(self, e, scope, depth):
@@ -1255,7 +1224,7 @@ class _Compiler:
 
         def sent(ctx, env, now):
             result = universal
-            for (sender, message, receiver, t) in ctx.trace.send_events():
+            for (sender, message, receiver, t) in ctx.cols["send_events"]:
                 env[s], env[m], env[r] = sender, message, receiver
                 if tick is not None:
                     env[tick] = t
@@ -1272,7 +1241,7 @@ class _Compiler:
     def window(self, e, scope, depth, bounds, offsets, universal=True):
         """alw/evt/during/lasts/after: a loop over the ticks in ``bounds``.
         On lassos it answers from the body's mask, if the body has one,
-        built once per call and binding of the body's free variables.
+        built once per trace and binding of the body's free variables.
         ``offsets`` are the bounds relative to now when they are constant
         (see `_now_offsets`), which gives the window a mask of its own."""
         outer, self.uses = self.uses, set()
@@ -1315,43 +1284,30 @@ class _Compiler:
 
     def nf_set(self, e: NfSet, scope, depth):
         if isinstance(e.target, ServersSet):
-            col = self.column("servers_nf")
-
-            def servers_nf(ctx, env, now):
-                if now >= ctx.size:
-                    now = ctx.wrap(now)
-                    if now is None:
-                        return None
-                return ctx.cols[col][now]
-            return servers_nf, lambda ctx, env: _truth(ctx, "servers_nf", col)
-        col = self.column("nf_procs")
+            return (lambda ctx, env, now: ctx.at("servers_nf", now),
+                    lambda ctx, env: _truth(ctx, "servers_nf"))
         group = self.term(e.target, scope, "set variable")
 
         def nf_set(ctx, env, now):
-            if now >= ctx.size:
-                now = ctx.wrap(now)
-                if now is None:
-                    return None
-            return ctx.cols[col][now].issuperset(group(env))
+            nf = ctx.at("nf_procs", now)
+            return None if nf is None else nf.issuperset(group(env))
 
         def nf_set_mask(ctx, env):
             m = ctx.full
             for p in group(env):
-                m &= _membership(ctx, "nf_procs", col, p)
+                m &= _membership(ctx, "nf_procs", p)
             return m
         return nf_set, nf_set_mask
 
     def servers_eq(self, e: ServersEq, scope, depth):
         t1, t2 = self.time(e.t1, scope), self.time(e.t2, scope)
-        col = self.column("roster")
 
         def servers_eq(ctx, env, now):
             a, b = t1(env, now), t2(env, now)
             i, j = ctx.index(a), ctx.index(b)
             if i is None or j is None:
                 return None
-            rosters = ctx.cols[col]
-            return rosters[i] == rosters[j]
+            return ctx.cols["roster"][i] == ctx.cols["roster"][j]
         return servers_eq, None
 
 
@@ -1419,7 +1375,7 @@ def eval_expr(expr: PropertyExpr, trace: Trace, now: Tick = 0) -> Verdict:
     if not 0 <= now < len(trace.states):
         raise TimeOutOfRange(f"now={now} outside trace of length {len(trace.states)}")
     program = compile_expr(expr)
-    value = program.fn(_Context(trace, program.columns), [None] * program.nslots, now)
+    value = program.fn(_index_of(trace), [None] * program.nslots, now)
     if value is True:
         return holds()
     if value is False:

@@ -9,6 +9,7 @@ write -> read -> write is byte-identical.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 from typing import IO, Optional
 
@@ -17,10 +18,13 @@ from .catalog import CatalogError, CatalogId
 from .machine import MachineError, SystemConfig
 from .temporal import ObservationState, Trace, TraceInconsistent
 
-_SET_FIELDS = (
-    "nf_procs", "primaries", "roster", "sent", "received", "voted",
-    "learned", "executed", "requested", "responded",
-)
+#: set field -> the length of the arrays it holds; 0 for the per-tick
+#: sets, whose elements are single values
+_ARITY = {
+    "nf_procs": 0, "primaries": 0, "roster": 0, "sent": 3, "received": 3, "voted": 4,
+    "learned": 3, "executed": 3, "requested": 2, "responded": 3,
+}
+_SET_FIELDS = tuple(_ARITY)
 
 
 class TraceFormatError(ValueError):
@@ -117,14 +121,33 @@ def config_record(config: SystemConfig) -> dict:
     }
 
 
+def _array(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def config_from_record(rec: dict) -> SystemConfig:
+    proposers, acceptors, clients, quorums, values, rounds = (_array(rec[key], key) for key in (
+        "proposers", "acceptors", "clients", "quorums", "values", "rounds"))
+    quorums = [_array(q, "a quorum") for q in quorums]
+    for name in itertools.chain(proposers, acceptors, clients, *quorums):
+        if not isinstance(name, str):
+            raise TypeError(f"process names must be strings, got {name!r}")
+    if type(rec["slot_bound"]) is not int:
+        raise TypeError(f"slot_bound must be an integer, got {rec['slot_bound']!r}")
+    values, rounds = tuple(map(_frozen, values)), tuple(map(_frozen, rounds))
+    try:
+        hash((values, rounds))        # bound to variables, so hashed
+    except TypeError:
+        raise TypeError("values and rounds must not hold objects") from None
     return SystemConfig(
-        proposers=tuple(rec["proposers"]),
-        acceptors=tuple(rec["acceptors"]),
-        clients=tuple(rec["clients"]),
-        quorums=tuple(frozenset(q) for q in rec["quorums"]),
-        values=tuple(_frozen(v) for v in rec["values"]),
-        rounds=tuple(_frozen(r) for r in rec["rounds"]),
+        proposers=tuple(proposers),
+        acceptors=tuple(acceptors),
+        clients=tuple(clients),
+        quorums=tuple(map(frozenset, quorums)),
+        values=values,
+        rounds=rounds,
         slot_bound=rec["slot_bound"],
     )
 
@@ -179,6 +202,11 @@ def read_trace(fp: IO[str]) -> Trace:
         for f, v in zip(_SET_FIELDS, values):
             if not isinstance(v, list):
                 raise TraceFormatError(n, f"{f} must be a list, got {v!r}")
+            arity = _ARITY[f]
+            want = f"lists of {arity}" if arity else "strings"
+            for item in v:
+                if not (type(item) is list and len(item) == arity if arity else type(item) is str):
+                    raise TraceFormatError(n, f"{f} elements must be {want}, got {item!r}")
         try:
             states.append(ObservationState(**{
                 f: frozenset(map(_frozen, v)) for f, v in zip(_SET_FIELDS, values)}))
@@ -223,6 +251,11 @@ def read_schedule(fp: IO[str]) -> Schedule:
     records = _records(fp, "schedule", "schedule", "step")
     line, header = records[0]
     config = _header_config(line, header)
+    if not (all(isinstance(v, str) for v in config.values) and all(
+            type(r) is tuple and len(r) == 2 and type(r[0]) is int and r[1] in config.proposers
+            for r in config.rounds)):
+        raise TraceFormatError(line, "bad config: a schedule's values must be strings and "
+                                     "its rounds [integer, proposer] pairs")
     fault_plan = header.get("fault_plan", [])
     if not isinstance(fault_plan, list):
         raise TraceFormatError(line, f"fault_plan must be a list, got {fault_plan!r}")

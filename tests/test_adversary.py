@@ -197,3 +197,5 @@ def test_schedule_rank_must_resolve():
     bogus = Schedule(config=cfg, steps=(999,))
     with pytest.raises(AdversaryError, match="rank"):
         run_schedule(bogus)
+    with pytest.raises(AdversaryError, match="loop_start out of range"):
+        run_schedule(Schedule(config=cfg, steps=(), loop_start=3))

@@ -2,6 +2,7 @@
 recorded output."""
 
 import hashlib
+import json
 import os
 import re
 
@@ -247,6 +248,15 @@ def test_unreadable_or_malformed_trace_file_is_usage(tmp_path, capsys):
     code, out, err = run(capsys, "trace", "check", str(lasso), "--property", "Some-Learn")
     assert (code, out) == (2, "")
     assert err.strip() == "error: line 3: state record lacks 'sent'"
+
+    run(capsys, "scenario", "raft-eachvote", "--out", str(lasso))
+    records = [json.loads(line) for line in lasso.read_text().splitlines()]
+    for rec in records[1:]:
+        rec["voted"] = [["s1", 1, 1]]
+    lasso.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    code, out, err = run(capsys, "trace", "check", str(lasso), "--property", "Each-Vote")
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: line 2: voted elements must be lists of 4, got ['s1', 1, 1]"
 
 
 @pytest.mark.parametrize("target, message", [

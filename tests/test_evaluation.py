@@ -335,6 +335,10 @@ def test_errors_are_raised_only_where_evaluation_reaches_them():
     # never reached
     assert eval_expr(At(guarded, TLit(1)), trace).is_holds
     assert eval_expr(guarded, trace, now=1).is_holds
+    # the mask that raised is kept for the trace, and the loop meets the
+    # error again
+    with pytest.raises(DomainUnknown):
+        eval_expr(guarded, trace)
     with pytest.raises(DomainUnknown):
         eval_expr(Evt(Not(Or(s1_up, bogus))), trace)
 

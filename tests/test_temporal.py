@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from livenesslab.catalog import assertion_single, server_property
+from livenesslab.catalog import assertion_single, link_property, server_property
 from livenesslab.hierarchy import corpus_config, random_lasso
 from livenesslab.scenarios import TraceBuilder
 from livenesslab.temporal import (
@@ -171,6 +171,13 @@ def test_literal_at_beyond_finite_trace_raises():
         eval_expr(At(TrueE(), TLit(9)), tr)
     # on a lasso the same time is well-defined
     assert eval_expr(At(TrueE(), TLit(9)), tr.stuttered()).is_holds
+
+
+def test_send_quantifiers_take_messages_that_do_not_compare():
+    sent = frozenset({("s1", "m", "s2"), ("s1", ("x",), "s2")})
+    tr = Trace([ObservationState(sent=sent)], corpus_config(), loop_start=0)
+    assert eval_expr(link_property("Fair"), tr).is_violated
+    assert eval_expr(link_property("Raw"), tr).is_violated
 
 
 def test_unbound_variable_rejected():

@@ -1,13 +1,16 @@
+import hashlib
 import io
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from livenesslab.adversary import alwq_adversary, raw_blackout
 from livenesslab.hierarchy import random_lasso
 from livenesslab.machine import make_config
 from livenesslab.scenarios import paxos_complex_livelock_lasso, raft_eachvote_lasso
+from livenesslab.temporal import _HISTORY_FIELDS
 from livenesslab.tracefile import TraceFormatError, trace_from_text, trace_to_text
 
 
@@ -70,6 +73,12 @@ def _set_field(lines, n, field, value):
     lines[n] = json.dumps(rec)
 
 
+def _set_config(lines, field, value):
+    header = json.loads(lines[0])
+    header["config"][field] = value
+    lines[0] = json.dumps(header)
+
+
 def _drop_field(lines, n, field):
     rec = json.loads(lines[n])
     del rec[field]
@@ -98,6 +107,28 @@ def test_malformed_trace_files_name_the_line():
         (lambda ls: _set_field(ls, 0, "loop_start", 6), 9,   # tick 7 votes again
          "cumulative histories differ between loop start and trace end"),
         (lambda ls: _set_field(ls, 0, "loop_start", 40), 1, "loop_start out of range"),
+        (lambda ls: _set_field(ls, 4, "voted", [["s1", 1, 1]]), 5,
+         "voted elements must be lists of 4, got ['s1', 1, 1]"),
+        (lambda ls: _set_field(ls, 2, "received", [["a", "b"]]), 3,
+         "received elements must be lists of 3, got ['a', 'b']"),
+        (lambda ls: _set_field(ls, 2, "sent", ["abc"]), 3,
+         "sent elements must be lists of 3, got 'abc'"),
+        (lambda ls: _set_field(ls, 3, "requested", [["c1", "v1", "x"]]), 4,
+         "requested elements must be lists of 2, got ['c1', 'v1', 'x']"),
+        (lambda ls: _set_field(ls, 2, "roster", [["s1"]]), 3,
+         "roster elements must be strings, got ['s1']"),
+        (lambda ls: _set_field(ls, 2, "nf_procs", [{"s1": 1}]), 3,
+         "nf_procs elements must be strings, got {'s1': 1}"),
+        (lambda ls: _set_config(ls, "proposers", "s1"), 1,
+         "bad config: proposers must be a list, got 's1'"),
+        (lambda ls: _set_config(ls, "quorums", ["s1"]), 1,
+         "bad config: a quorum must be a list, got 's1'"),
+        (lambda ls: _set_config(ls, "slot_bound", "x"), 1,
+         "bad config: slot_bound must be an integer, got 'x'"),
+        (lambda ls: _set_config(ls, "acceptors", ["s1", None]), 1,
+         "bad config: process names must be strings, got None"),
+        (lambda ls: _set_config(ls, "values", ["v1", [{"v": 2}]]), 1,
+         "bad config: values and rounds must not hold objects"),
     ]
     for edit, line, message in cases:
         with pytest.raises(TraceFormatError) as exc:
@@ -143,6 +174,9 @@ def test_malformed_schedule_files_name_the_line():
          "bad target: params must be integers, got ['2']"),
         ({"target": {"server": link}},
          "bad target: server demand must name a server assumption"),
+        ({"config": {**header["config"], "rounds": [1, 2]}},
+         "bad config: a schedule's values must be strings and its rounds "
+         "[integer, proposer] pairs"),
     ]
     for change, message in header_cases:
         text = "\n".join([json.dumps({**header, **change})] + lines[1:])
@@ -150,3 +184,127 @@ def test_malformed_schedule_files_name_the_line():
             read_schedule(io.StringIO(text))
         assert exc.value.line == 1
         assert str(exc.value) == f"line 1: {message}"
+
+
+def _schedule_text():
+    from livenesslab.adversary import AssumptionTarget, Demand, SATISFY, generate
+    from livenesslab.catalog import LINK, CatalogId
+    from livenesslab.tracefile import write_schedule
+
+    schedule = generate(AssumptionTarget(link=Demand(CatalogId(LINK, "Fair"), SATISFY)),
+                        make_config(2, 3), seed=1)
+    buf = io.StringIO()
+    write_schedule(schedule, buf)
+    return buf.getvalue()
+
+
+_CANONICAL = {"trace": trace_to_text(raft_eachvote_lasso()), "schedule": _schedule_text()}
+_FUZZ_PROPERTIES = ("Each-Vote", "Some-Learn", "Fair", "Sure(2)", "PQ-Dur(2)", "Alw-Q")
+_SUBSTITUTES = (None, True, 0, 1, -1, 3, "", "s1", "x", [], ["s1"], ["s1", 1], {}, {"a": 1})
+
+
+def _paths(value, path=()):
+    """Every path (of keys and indices) to a value inside ``value``."""
+    yield path
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _paths(value[key], path + (key,))
+    elif isinstance(value, list):
+        for k, item in enumerate(value):
+            yield from _paths(item, path + (k,))
+
+
+def _retyped(value):
+    if isinstance(value, list):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        return list(value.values())
+    if isinstance(value, str):
+        return [value]
+    return str(value)
+
+
+@st.composite
+def _mutated_file(draw):
+    """A canonical trace or schedule file with one JSON value replaced,
+    dropped or retyped, or one line cut short."""
+    kind = draw(st.sampled_from(sorted(_CANONICAL)))
+    lines = _CANONICAL[kind].splitlines()
+    n = draw(st.integers(0, len(lines) - 1))
+    how = draw(st.sampled_from(("replace", "drop", "retype", "truncate")))
+    if how == "truncate":
+        lines[n] = lines[n][:draw(st.integers(0, len(lines[n]) - 1))]
+        return kind, "\n".join(lines) + "\n"
+    record = json.loads(lines[n])
+    *parent, last = draw(st.sampled_from(list(_paths(record))[1:]))
+    holder = record
+    for step in parent:
+        holder = holder[step]
+    if how == "drop":
+        del holder[last]
+    elif how == "replace":
+        holder[last] = draw(st.sampled_from(_SUBSTITUTES))
+    else:
+        holder[last] = _retyped(holder[last])
+    lines[n] = json.dumps(record)
+    return kind, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(_mutated_file(), st.sampled_from(_FUZZ_PROPERTIES))
+def test_fuzz_mutated_trace_and_schedule_files(mutated, prop):
+    import contextlib
+    import tempfile
+
+    from livenesslab.adversary import AdversaryError, run_schedule
+    from livenesslab.cli import main
+    from livenesslab.tracefile import read_schedule
+
+    kind, text = mutated
+    if kind == "trace":
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/mutated.trace"
+            with open(path, "w") as fp:
+                fp.write(text)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(["trace", "check", path, "--property", prop])
+        assert code in (0, 1, 2, 3), text
+        return
+    try:
+        schedule = read_schedule(io.StringIO(text))
+    except TraceFormatError:
+        return
+    try:
+        run_schedule(schedule)
+    except AdversaryError:
+        pass
+
+
+#: sha256 over the trace and schedule files of `adversary.simulate` for the
+#: 84 demand targets, captured while `machine.apply_action` still copied
+#: every history at every action
+SIMULATED_FILES_SHA256 = "3f0bddd852275f922e97b040309f134072fc78f123ca708030b2f71cc69e944c"
+
+
+def test_simulated_files_are_pinned_and_share_unchanged_histories():
+    from livenesslab.adversary import CannotRealize, simulate
+    from livenesslab.tracefile import write_schedule
+
+    from test_evaluation import _demand_targets
+
+    digest = hashlib.sha256()
+    for target in _demand_targets():
+        try:
+            schedule, trace, _verdicts = simulate(target, make_config(2, 3), seed=0)
+        except CannotRealize as exc:
+            digest.update(f"unrealized: {exc}\n".encode())
+            continue
+        buf = io.StringIO()
+        write_schedule(schedule, buf)
+        digest.update(trace_to_text(trace).encode() + buf.getvalue().encode())
+        for before, after in zip(trace.states, trace.states[1:]):
+            for field in ("primaries",) + _HISTORY_FIELDS:
+                a, b = getattr(before, field), getattr(after, field)
+                assert a is b or a != b, field
+    assert digest.hexdigest() == SIMULATED_FILES_SHA256

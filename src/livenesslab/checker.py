@@ -49,6 +49,12 @@ def formula_oracle(i: int, j: int, x: int) -> int:
     broadcast, every acceptor's promise, the accept broadcast, and a quorum
     of votes), and each tick of instability lets one more round compete at
     a cost of j actions.
+
+    ``explore`` matches this form only for j in {3, 4}.  It stops a
+    superseded round's promises once that round has a quorum, so each extra
+    round costs 1 + (j//2 + 1) actions, which equals j only there: at j = 5,
+    (i, j) = (1, 5) and (2, 5) give 10 and 14 at x = 0 and 1, where the form
+    gives 10 and 15.
     """
     if i < 1 or j < 1 or x < 0:
         raise ValueError("need i >= 1, j >= 1, x >= 0")

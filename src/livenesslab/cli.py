@@ -123,13 +123,9 @@ def main(argv: Optional[list] = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=0, help="global seed")
     parser.add_argument("--out", help="output file (defaults to stdout)")
-    parser.add_argument("--format", choices=("text", "csv", "records"),
-                        default="text")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS)
-    common.add_argument("--format", choices=("text", "csv", "records"),
-                        default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_spec = sub.add_parser("spec", help="parse or pretty-print a property",
@@ -140,6 +136,8 @@ def main(argv: Optional[list] = None) -> int:
 
     p_cat = sub.add_parser("catalog", help="catalog operations", parents=[common])
     p_cat.add_argument("action", choices=("list",))
+    p_cat.add_argument("--format", choices=("text", "csv", "records"),
+                       default="text")
 
     p_trace = sub.add_parser("trace", help="trace file operations", parents=[common])
     p_trace.add_argument("action", choices=("check",))
@@ -206,6 +204,8 @@ def _emit(args, text: str) -> None:
 
 
 def _dispatch(args) -> int:
+    if getattr(args, "jobs", 1) < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     if args.command == "spec":
         params = _params_dict(args.param)
         blocks = _read_spec(args.text, params)
@@ -288,13 +288,14 @@ def _dispatch(args) -> int:
 
     if args.command == "modelcheck":
         config = make_config(args.proposers, args.acceptors)
-        if args.jobs > 1 and len(args.start) > 1:
+        jobs = min(args.jobs, os.cpu_count() or 1, len(args.start))
+        if jobs > 1:
             import functools
             import multiprocessing as mp
 
             work = functools.partial(checker.explore, config,
                                      max_states=args.max_states)
-            with mp.Pool(min(args.jobs, len(args.start))) as pool:
+            with mp.Pool(jobs) as pool:
                 rows = pool.map(work, args.start)
         else:
             rows = [checker.explore(config, x, max_states=args.max_states)

@@ -13,6 +13,7 @@ the duration operators.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -233,9 +234,11 @@ def check_trace_edges(trace: Trace, edges) -> list:
 
 
 def check_edges(corpus, edges=None, jobs: int = 1) -> list:
-    """One EdgeReport per solid edge instance over the whole corpus."""
+    """One EdgeReport per solid edge instance over the whole corpus, in up
+    to ``jobs`` worker processes (at most one per CPU and per trace)."""
     edges = list(edges or edge_instances())
     per_edge = {k: [] for k in range(len(edges))}
+    jobs = min(jobs, os.cpu_count() or 1, len(corpus))
     if jobs > 1:
         import multiprocessing as mp
 

@@ -6,15 +6,21 @@ the count of actions executed.  One action covers one message send
 a leader election (adopting a fresh ballot and broadcasting its prepare) is
 a single action.
 
-State values are immutable; ``apply`` returns a new state, so parallel
-exploration is safe as long as each worker owns its frontier entries.
+A state holds only the observation that the properties read and the
+messages in flight.  Every protocol fact (the rounds started, each
+proposer's current round, each acceptor's ballot and vote, the rounds whose
+accept was sent) is read off the observation's histories by ``_facts``.
+
+State values are immutable; ``apply_action`` returns a new state, so
+parallel exploration is safe as long as each worker owns its frontier
+entries.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .temporal import ObservationState, Trace
 
@@ -201,14 +207,9 @@ class MachineState:
     tick: int
     obs: ObservationState
     pending: frozenset            # undelivered, undropped Msg copies
-    ballots: tuple                # rounds started, in adoption order
-    prop_round: tuple             # proposer -> current round or None (dict as items)
-    acc_maxbal: tuple             # acceptor -> highest promised/voted round or None
-    acc_vote: tuple               # acceptor -> (round, value) last vote or None
-    accepted: frozenset           # (round, value) pairs with a 2a sent
 
     def prop_round_of(self, p: str) -> Optional[tuple]:
-        return dict(self.prop_round)[p]
+        return _facts(self).current.get(p)
 
 
 def init(config: SystemConfig) -> MachineState:
@@ -218,86 +219,108 @@ def init(config: SystemConfig) -> MachineState:
         primaries=frozenset(),
         roster=frozenset(config.servers),
     )
-    return MachineState(
-        config=config,
-        tick=0,
-        obs=obs,
-        pending=frozenset(),
-        ballots=(),
-        prop_round=tuple((p, None) for p in config.proposers),
-        acc_maxbal=tuple((a, None) for a in config.acceptors),
-        acc_vote=tuple((a, None) for a in config.acceptors),
-        accepted=frozenset(),
-    )
+    return MachineState(config=config, tick=0, obs=obs, pending=frozenset())
 
 
-def _unused_rounds(state: MachineState, p: str):
-    used = set(state.ballots)
-    return [r for r in state.config.rounds if r[1] == p and r not in used]
+class _Facts(NamedTuple):
+    started: set      # rounds whose prepare (1a) was sent
+    current: dict     # proposer -> its last started round in config order
+    unused: dict      # proposer -> its unstarted rounds in config order
+    accepted: set     # rounds whose accept (2a) was sent
+    maxbal: dict      # acceptor -> highest round it promised (1b sent) or voted
+    vote: dict        # acceptor -> (round, value) of its highest voted round
+    prepared: dict    # round -> acceptors that received its prepare
+    promises: dict    # (proposer, round) -> {(acceptor, prior vote)} received
+    reports: dict     # proposer -> {(round, value): voters} received
+
+
+def _facts(state: MachineState) -> _Facts:
+    """Read the protocol facts off the state's histories, each set once.
+
+    Exact as long as only enabled actions were applied: a proposer starts
+    its rounds in config order, and an acceptor's ballot and vote rounds
+    never decrease."""
+    obs = state.obs
+    started, accepted, maxbal, vote = set(), set(), {}, {}
+    prepared, promises, reports = {}, {}, {}
+
+    def raise_bal(a, rnd):
+        if a not in maxbal or rnd > maxbal[a]:
+            maxbal[a] = rnd
+
+    for (snd, wire, _rcv) in obs.sent:
+        if wire[0] == "1a":
+            started.add(wire[1])
+        elif wire[0] == "2a":
+            accepted.add(wire[1])
+        elif wire[0] == "1b":
+            raise_bal(snd, wire[1])
+    for (a, rnd, _slot, val) in obs.voted:
+        raise_bal(a, rnd)
+        if a not in vote or rnd > vote[a][0]:
+            vote[a] = (rnd, val)
+    for (rcv, wire, snd) in obs.received:
+        if wire[0] == "1a":
+            prepared.setdefault(wire[1], set()).add(rcv)
+        elif wire[0] == "1b":
+            promises.setdefault((rcv, wire[1]), set()).add((snd, wire[2:]))
+        elif wire[0] == "2b":
+            reports.setdefault(rcv, {}).setdefault(wire[1:3], set()).add(snd)
+    current, unused = {}, {}
+    for rnd in state.config.rounds:
+        if rnd in started:
+            current[rnd[1]] = rnd
+        else:
+            unused.setdefault(rnd[1], []).append(rnd)
+    return _Facts(started, current, unused, accepted, maxbal, vote,
+                  prepared, promises, reports)
 
 
 def _quorum_of(state: MachineState, members: set) -> bool:
     return any(q <= members for q in state.config.quorums)
 
 
-def _promises_received(state: MachineState, p: str, rnd: tuple) -> set:
-    out = set()
-    for (rcv, wire, snd) in state.obs.received:
-        if rcv == p and wire[0] == "1b" and wire[1] == rnd:
-            out.add((snd, wire[2:]))
-    return out
-
-
-def _votes_received(state: MachineState, s: str) -> dict:
-    by_round: dict = {}
-    for (rcv, wire, snd) in state.obs.received:
-        if rcv == s and wire[0] == "2b":
-            by_round.setdefault((wire[1], wire[2]), set()).add(snd)
-    return by_round
-
-
 def enabled(state: MachineState) -> tuple:
     """Deterministic, order-stable enumeration of the enabled actions."""
     cfg = state.config
     nf = state.obs.nf_procs
+    f = _facts(state)
     out = []
-    prop_round = dict(state.prop_round)
-    acc_maxbal = dict(state.acc_maxbal)
 
     for p in cfg.proposers:
         if p not in nf:
             continue
-        if _unused_rounds(state, p):
+        if f.unused.get(p):
             out.append(StartLeaderElection(p))
-        rnd = prop_round[p]
+        rnd = f.current.get(p)
         if rnd is not None:
-            received_by = {
+            received_by = f.prepared.get(rnd, set()) | {
                 m.receiver for m in state.pending
                 if m.kind == "1a" and m.round == rnd
-            } | {
-                rcv for (rcv, wire, snd) in state.obs.received
-                if wire[0] == "1a" and wire[1] == rnd
             }
             if any(a not in received_by for a in cfg.acceptors):
                 out.append(ProposerSendPrepare(p))
-            promisers = {a for (a, _prior) in _promises_received(state, p, rnd)}
-            if (_quorum_of(state, promisers)
-                    and not any(r == rnd for (r, _v) in state.accepted)):
+            promisers = {a for (a, _prior) in f.promises.get((p, rnd), ())}
+            if _quorum_of(state, promisers) and rnd not in f.accepted:
                 out.append(ProposerSendAccept(p))
+        for (rnd, val), voters in f.reports.get(p, {}).items():
+            if _quorum_of(state, voters) and not any(
+                e[0] == p and e[2] == val for e in state.obs.learned
+            ):
+                out.append(Learn(p, rnd, val))
 
-    for m in sorted(state.pending):
+    for m in state.pending:
         out.append(DropMessage(m))
         if m.receiver not in nf:
             continue
+        bal = f.maxbal.get(m.receiver)
         if m.kind == "1a" and m.receiver in cfg.acceptors:
-            bal = acc_maxbal[m.receiver]
             if bal is None or m.round > bal:
                 out.append(AcceptorPromise(m.receiver, m))
             else:
                 out.append(DeliverMessage(m))
         elif m.kind == "2a" and m.receiver in cfg.acceptors:
-            bal = acc_maxbal[m.receiver]
-            vote = dict(state.acc_vote)[m.receiver]
+            vote = f.vote.get(m.receiver)
             fresh = bal is None or m.round >= bal
             revote = vote is not None and vote[0] == m.round
             if fresh and not revote:
@@ -307,23 +330,8 @@ def enabled(state: MachineState) -> tuple:
         else:
             out.append(DeliverMessage(m))
 
-    votes = {}
-    for p in cfg.proposers:
-        if p not in nf:
-            continue
-        for (rnd, val), voters in _votes_received(state, p).items():
-            if _quorum_of(state, voters) and not any(
-                e[0] == p and e[2] == val for e in state.obs.learned
-            ):
-                votes[(p, rnd, val)] = True
-    for (p, rnd, val) in sorted(votes):
-        out.append(Learn(p, rnd, val))
-
-    for s in sorted(cfg.servers):
-        if s in nf:
-            out.append(Crash(s))
-        else:
-            out.append(Recover(s))
+    for s in cfg.servers:
+        out.append(Crash(s) if s in nf else Recover(s))
 
     return tuple(sorted(out, key=_action_key))
 
@@ -366,11 +374,6 @@ def apply_action(state: MachineState, action, check: bool = True) -> MachineStat
     sent, received, voted, learned = set(), set(), set(), set()   # what the action adds
     primaries = obs.primaries
     nf = obs.nf_procs
-    ballots = state.ballots
-    prop_round = dict(state.prop_round)
-    acc_maxbal = dict(state.acc_maxbal)
-    acc_vote = dict(state.acc_vote)
-    accepted = set(state.accepted)
 
     def send(msg: Msg):
         sent.add((msg.sender, msg.wire(), msg.receiver))
@@ -384,40 +387,36 @@ def apply_action(state: MachineState, action, check: bool = True) -> MachineStat
 
     if isinstance(action, StartLeaderElection):
         p = action.proposer
-        rnd = _unused_rounds(state, p)[0]
-        ballots = ballots + (rnd,)
-        prop_round[p] = rnd
+        f = _facts(state)
+        rnd = f.unused[p][0]
         for a in cfg.acceptors:
             send(Msg("1a", rnd, p, a))
-        primaries = frozenset({max(ballots)[1]})
+        primaries = frozenset({max(f.started | {rnd})[1]})
     elif isinstance(action, ProposerSendPrepare):
         p = action.proposer
-        rnd = prop_round[p]
+        rnd = _facts(state).current[p]
         for a in cfg.acceptors:
             send(Msg("1a", rnd, p, a))
     elif isinstance(action, AcceptorPromise):
         a, m = action.acceptor, action.msg
         receive(m)
-        acc_maxbal[a] = m.round
-        prior = acc_vote[a] or ()
-        send(Msg("1b", m.round, a, m.sender, tuple(prior)))
+        prior = _facts(state).vote.get(a, ())
+        send(Msg("1b", m.round, a, m.sender, prior))
     elif isinstance(action, ProposerSendAccept):
         p = action.proposer
-        rnd = prop_round[p]
-        priors = [prior for (_a, prior) in _promises_received(state, p, rnd) if prior]
+        f = _facts(state)
+        rnd = f.current[p]
+        priors = [prior for (_a, prior) in f.promises.get((p, rnd), ()) if prior]
         if priors:
             value = max(priors)[1]
         else:
             value = cfg.values[cfg.proposers.index(p) % len(cfg.values)]
-        accepted.add((rnd, value))
         for a in cfg.acceptors:
             send(Msg("2a", rnd, p, a, (value,)))
     elif isinstance(action, AcceptorVote):
         a, m = action.acceptor, action.msg
         receive(m)
         value = m.payload[0]
-        acc_maxbal[a] = m.round
-        acc_vote[a] = (m.round, value)
         voted.add((a, m.round, 1, value))
         for p in cfg.proposers:
             send(Msg("2b", m.round, a, p, (value,)))
@@ -444,17 +443,7 @@ def apply_action(state: MachineState, action, check: bool = True) -> MachineStat
         learned=_grown(obs.learned, learned),
     )
     _check_safety(new_obs, cfg)
-    return MachineState(
-        config=cfg,
-        tick=state.tick + 1,
-        obs=new_obs,
-        pending=frozenset(pending),
-        ballots=ballots,
-        prop_round=tuple(sorted(prop_round.items())),
-        acc_maxbal=tuple(sorted(acc_maxbal.items())),
-        acc_vote=tuple(sorted(acc_vote.items())),
-        accepted=frozenset(accepted),
-    )
+    return MachineState(cfg, state.tick + 1, new_obs, frozenset(pending))
 
 
 def run(config: SystemConfig, actions) -> list:

@@ -27,6 +27,14 @@ def test_formula_oracle_values():
         formula_oracle(2, 3, -1)
 
 
+def test_explore_departs_from_formula_at_five_acceptors():
+    # the closed form holds only for j in {3, 4} (see formula_oracle)
+    for i in (1, 2):
+        cfg = make_config(i, 5)
+        assert [explore(cfg, x).stable_length for x in (0, 1)] == [10, 14]
+        assert [formula_oracle(i, 5, x) for x in (0, 1)] == [10, 15]
+
+
 def test_explore_matches_oracle_on_2p3a():
     cfg = make_config(2, 3)
     for x in (0, 1, 2, 3):
@@ -120,6 +128,30 @@ def test_lasso_search_raw_alw_eachvote_counterexample():
     assert eval_expr(build(CatalogId(SERVER, "Alw")), res.trace).is_holds
     assert eval_expr(build(CatalogId(ASSERTION_SINGLE, "Each-Vote")),
                      res.trace).is_violated
+
+
+def test_realized_closures_apply_only_enabled_actions(monkeypatch):
+    # machine states read their protocol facts off the histories, which is
+    # exact only along enabled actions, and closures apply theirs unchecked
+    from livenesslab import machine as mc
+
+    apply, applied, disabled = mc.apply_action, [], []
+
+    def checked(st, action, check=True):
+        applied.append(action)
+        if action not in mc.enabled(st):
+            disabled.append(action)
+        return apply(st, action, check=False)
+
+    monkeypatch.setattr(mc, "apply_action", checked)
+    cfg = competing_rounds_config(2, 3)
+    for link, server, assertion in (("Fair", "Alw-Q", "Some-Learn"),
+                                    ("Raw", "Alw", "Each-Vote")):
+        res = check_liveness_lasso(cfg, CatalogId(LINK, link),
+                                   CatalogId(SERVER, server),
+                                   CatalogId(ASSERTION_SINGLE, assertion))
+        assert res.is_counterexample
+    assert applied and not disabled
 
 
 def test_lasso_search_budget_reports_undetermined():

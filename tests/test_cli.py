@@ -107,6 +107,30 @@ def test_catalog_list_has_all_rows(capsys):
     assert "evt alw some q in quorums has q nf" in out
 
 
+def test_catalog_list_formats(capsys):
+    code, out, _err = run(capsys, "catalog", "list", "--format", "csv")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "kind,name,params,text"
+    assert len(lines) == 1 + 22
+    code, out, _err = run(capsys, "catalog", "list", "--format", "records")
+    assert code == 0
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert len(records) == 22
+    assert all(set(r) == {"kind", "name", "params", "text"} for r in records)
+
+
+def test_format_is_a_catalog_list_option_only(tmp_path, capsys):
+    lasso = tmp_path / "raft.lasso"
+    assert run(capsys, "scenario", "raft-eachvote", "--out", str(lasso))[0] == 0
+    for argv in (["trace", "check", str(lasso), "--property", "Fair",
+                  "--format", "csv"],
+                 ["--format", "csv", "catalog", "list"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
 def test_simulate_documented_runs(tmp_path, capsys):
     out_file = tmp_path / "run.trace"
     code, _out, err = run(capsys, "simulate", "--target", "Fair,Alw-Q",
@@ -156,6 +180,58 @@ def test_unknown_flag_is_usage_error(capsys):
         main(["modelcheck", "--proposers", "2", "--acceptors", "3",
               "--start", "0", "--bogus"])
     assert exc.value.code == 2
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace multiprocessing.Pool by an in-process stand-in that records
+    each pool's size, on a machine reporting three CPUs."""
+    import multiprocessing
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+        def starmap(self, fn, items, chunksize=1):
+            return [fn(*x) for x in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    return sizes
+
+
+def test_jobs_below_one_is_usage_error(capsys, pool_sizes):
+    for argv in (["modelcheck", "--proposers", "1", "--acceptors", "1",
+                  "--start", "0", "1"],
+                 ["hierarchy", "check", "--corpus", "2"]):
+        code, _out, err = run(capsys, *argv, "--jobs", "0")
+        assert code == 2
+        assert "error: --jobs must be at least 1, got 0" in err
+    assert pool_sizes == []
+
+
+def test_jobs_capped_at_cpus_and_work_items(capsys, pool_sizes):
+    code, out, _err = run(capsys, "modelcheck", "--proposers", "1",
+                          "--acceptors", "1", "--start", "0", "1",
+                          "--jobs", "8")
+    assert code == 0
+    assert len(out.splitlines()) == 2
+    for corpus in ("5", "1"):
+        code, _out, _err = run(capsys, "hierarchy", "check",
+                               "--corpus", corpus, "--jobs", "8")
+        assert code == 0
+    assert pool_sizes == [2, 3]           # two starts; three CPUs; one trace
 
 
 def test_trace_check_undetermined_exit_code(tmp_path, capsys):

@@ -99,6 +99,18 @@ def test_prepare_round_trip_and_learn():
     assert (learns[0].server, 1, "v1") in st.obs.learned
 
 
+def test_current_round_is_last_started_in_config_order():
+    # a config may list a proposer's rounds in any order
+    cfg = SystemConfig(proposers=("p1", "p2"), acceptors=("a1",),
+                       rounds=((2, "p1"), (1, "p2"), (1, "p1")))
+    st = apply_action(init(cfg), StartLeaderElection("p1"))
+    assert st.prop_round_of("p1") == (2, "p1")
+    st = apply_action(st, StartLeaderElection("p2"))
+    assert st.obs.primaries == {"p1"}               # owner of the highest round
+    st = apply_action(st, StartLeaderElection("p1"))
+    assert st.prop_round_of("p1") == (1, "p1")      # not the highest
+
+
 def test_drop_removes_without_receipt():
     cfg = make_config(2, 3)
     st = init(cfg)
@@ -198,3 +210,51 @@ def test_multi_exec_n1_matches_single_on_slot1_traces():
         checked += 1
         assert eval_expr(single, tr) == eval_expr(multi, tr)
     assert checked > 30
+
+
+# --- golden random walks ---------------------------------------------------
+
+def _canonical_obs(obs):
+    return tuple(
+        (name, tuple(sorted(map(repr, getattr(obs, name)))))
+        for name in obs.__dataclass_fields__
+    )
+
+
+_FAULTS = (DropMessage, Crash, mc.Recover)
+
+
+def test_random_walks_match_golden_digest():
+    """200 seeded walks of 40 uniformly drawn enabled actions on
+    make_config(2,3): the digest of every state's enabled actions and
+    observation is pinned.  One step in four draws from every enabled
+    action, the others from the protocol actions alone (no drop, crash or
+    recover), so the walks both learn and reach stale prepares, stale
+    accepts and acceptor crashes mid-round."""
+    import hashlib
+
+    cfg = make_config(2, 3)
+    digest = hashlib.sha256()
+    drawn = set()
+    reached = {"stale prepare": 0, "stale accept": 0, "acceptor crash": 0}
+    for seed in range(200):
+        rng = random.Random(seed)
+        st = init(cfg)
+        for _ in range(40):
+            acts = enabled(st)
+            digest.update(repr((acts, _canonical_obs(st.obs))).encode())
+            protocol = [a for a in acts if not isinstance(a, _FAULTS)]
+            action = rng.choice(acts if rng.random() < 0.25 or not protocol
+                                else protocol)
+            drawn.add(type(action))
+            if isinstance(action, DeliverMessage) and action.msg.receiver in cfg.acceptors:
+                reached["stale prepare" if action.msg.kind == "1a"
+                        else "stale accept"] += 1
+            if (isinstance(action, Crash) and action.process in cfg.acceptors
+                    and st.obs.sent):
+                reached["acceptor crash"] += 1
+            st = apply_action(st, action, check=False)
+        digest.update(repr(_canonical_obs(st.obs)).encode())
+    assert drawn == set(mc.Action)
+    assert all(reached.values()), reached
+    assert digest.hexdigest() == "bb32106d173f6d53c7451c607ac70a3af0880640f3dccf3bd4e5a474a91a1016"

@@ -19,7 +19,7 @@ def step(pred, label):
         if pred(a):
             st = apply_action(st, a)
             states.append(st)
-            print(f"  tick {st.tick:2}  {label}: {a}")
+            print(f"  tick {len(states) - 1:2}  {label}: {a}")
             return
     raise SystemExit(f"nothing matched {label}")
 

@@ -79,7 +79,7 @@ def run_schedule(schedule: Schedule) -> Trace:
             acts = mc.enabled(st)
             if not 0 <= rank < len(acts):
                 raise AdversaryError(f"step {k}: rank {rank} outside {len(acts)} actions")
-            st = mc.apply_action(st, acts[rank], check=False)
+            st = mc.apply_action(st, acts[rank])
             states.append(st)
         return mc.trace_of(states, loop_start=schedule.loop_start)
     except (mc.MachineError, TraceInconsistent) as exc:
@@ -102,9 +102,9 @@ def _matches(verdict: Verdict, mode: str) -> bool:
 # ---------------------------------------------------------------------------
 # plan construction
 
-class _Driver:
-    """Grows a schedule against a live machine state, keeping every state
-    and the rank of every action taken."""
+class Driver:
+    """Grows a run against a live machine state, keeping every state and
+    the rank of every action taken; a state's tick is its index."""
 
     def __init__(self, config: SystemConfig):
         self.state = mc.init(config)
@@ -114,23 +114,16 @@ class _Driver:
 
     @property
     def tick(self) -> int:
-        return self.state.tick
+        return len(self.ranks)
 
     def take(self, action):
-        try:
-            rank = mc.enabled(self.state).index(action)
-        except ValueError:
-            raise mc.ActionNotEnabled(
-                f"{action} is not enabled at tick {self.tick}") from None
-        self.ranks.append(rank)
-        self.state = mc.apply_action(self.state, action, check=False)
-        self.states.append(self.state)
-
-    def enabled(self):
-        return mc.enabled(self.state)
+        nxt = mc.apply_action(self.state, action)
+        self.ranks.append(mc.enabled(self.state).index(action))
+        self.state = nxt
+        self.states.append(nxt)
 
     def take_first(self, pred) -> bool:
-        for a in self.enabled():
+        for a in mc.enabled(self.state):
             if pred(a):
                 self.take(a)
                 return True
@@ -155,14 +148,9 @@ class _Driver:
         self.take(mc.DropMessage(msg))
 
     def receipt_actions(self, skip=frozenset()):
-        out = []
-        for a in self.enabled():
-            if isinstance(a, (mc.AcceptorPromise, mc.AcceptorVote)):
-                if a.msg not in skip:
-                    out.append(a)
-            elif isinstance(a, mc.DeliverMessage) and a.msg not in skip:
-                out.append(a)
-        return out
+        return [a for a in mc.enabled(self.state) if isinstance(
+            a, (mc.AcceptorPromise, mc.AcceptorVote, mc.DeliverMessage))
+            and a.msg not in skip]
 
     def deliver_all(self, rng: random.Random, skip=frozenset()) -> None:
         """Receive every in-flight message (and whatever their replies
@@ -201,7 +189,7 @@ def _quorum_break_count(config: SystemConfig) -> int:
     return len(config.acceptors)
 
 
-def _dur_violation_prefix(drv: _Driver, claimant: str, up_budget: int,
+def _dur_violation_prefix(drv: Driver, claimant: str, up_budget: int,
                           rng: random.Random) -> None:
     """Crash/recover the claimant so no stretch of `up_budget`+1 ticks ever
     sees it continuously up, while still receiving every message: inbound
@@ -232,7 +220,7 @@ def _dur_violation_prefix(drv: _Driver, claimant: str, up_budget: int,
 def _plan(target: AssumptionTarget, config: SystemConfig,
           rng: random.Random) -> tuple:
     """One candidate (driver, loop_start) for the target."""
-    drv = _Driver(config)
+    drv = Driver(config)
     link = target.link
     server = target.server
 
@@ -401,7 +389,7 @@ def alwq_adversary(config: SystemConfig) -> Trace:
     """
     if len(config.proposers) < 2:
         raise ValueError("the construction needs a second proposer to elect")
-    drv = _Driver(config)
+    drv = Driver(config)
     p1, p2 = config.proposers[0], config.proposers[1]
     drv.elect(p1)
     drv.elect(p2)
@@ -421,7 +409,7 @@ def alwq_adversary(config: SystemConfig) -> Trace:
 
 def raw_blackout(config: SystemConfig) -> Trace:
     """Nothing sent is ever received; no assertion can come true."""
-    drv = _Driver(config)
+    drv = Driver(config)
     drv.elect(config.proposers[0])
     drv.drop_all_pending()
     return mc.trace_of(drv.states, loop_start=len(drv.ranks))

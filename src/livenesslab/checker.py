@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import machine as mc
+from .adversary import Driver
 from .catalog import CatalogId, build
 from .machine import SystemConfig
 from .temporal import Trace, eval_expr
@@ -425,79 +426,53 @@ def _realize(config: SystemConfig, skeleton: _Skeleton, moves, drop_rest: bool,
     receives the promise replies it relies on, a learn first receives the
     matching vote reports.  At the end every leftover message is received
     (or dropped, for a Raw-link search), the owing processes crash, and the
-    trace stutters forever.
+    trace stutters forever.  Every step is checked by the machine.
     """
-    st = mc.init(config)
-    states = [st]
+    drv = Driver(config)
 
-    def do(action):
-        nonlocal st
-        st = mc.apply_action(st, action, check=False)
-        states.append(st)
-
-    def pending_named(kind, rnd, receiver, sender=None):
-        for m in sorted(st.pending):
-            if m.kind == kind and m.round == rnd and m.receiver == receiver:
-                if sender is None or m.sender == sender:
-                    return m
-        return None
+    def receive(kind, cls, rnd, receiver, sender=None) -> bool:
+        return drv.take_first(lambda act: isinstance(act, cls)
+                              and act.msg.kind == kind and act.msg.round == rnd
+                              and act.msg.receiver == receiver
+                              and sender in (None, act.msg.sender))
 
     shadow = skeleton.initial()
     for name, nxt in moves:
         if name[0] == "elect":
-            do(mc.StartLeaderElection(skeleton.owner[name[1]]))
+            drv.take(mc.StartLeaderElection(skeleton.owner[name[1]]))
         elif name[0] == "promise":
             _op, a, b = name
-            acc = config.acceptors[a]
-            msg = pending_named("1a", skeleton.rounds[b - 1], acc)
-            if msg is None:
+            if not receive("1a", mc.AcceptorPromise, skeleton.rounds[b - 1],
+                           config.acceptors[a]):
                 return None
-            do(mc.AcceptorPromise(acc, msg))
         elif name[0] == "accept":
             b = name[1]
             p = skeleton.owner[b]
             rnd = skeleton.rounds[b - 1]
             for a in skeleton.members(shadow[2], b):
-                msg = pending_named("1b", rnd, p, config.acceptors[a])
-                if msg is not None:
-                    do(mc.DeliverMessage(msg))
-            do(mc.ProposerSendAccept(p))
+                receive("1b", mc.DeliverMessage, rnd, p, config.acceptors[a])
+            drv.take(mc.ProposerSendAccept(p))
         elif name[0] == "vote":
             _op, a, b = name
-            acc = config.acceptors[a]
-            msg = pending_named("2a", skeleton.rounds[b - 1], acc)
-            if msg is None:
+            if not receive("2a", mc.AcceptorVote, skeleton.rounds[b - 1],
+                           config.acceptors[a]):
                 return None
-            do(mc.AcceptorVote(acc, msg))
         elif name[0] == "learn":
             _op, p, b, value = name
             rnd = skeleton.rounds[b - 1]
             for a_name in config.acceptors:
-                msg = pending_named("2b", rnd, p, a_name)
-                if msg is not None:
-                    do(mc.DeliverMessage(msg))
-            do(mc.Learn(p, rnd, value))
+                receive("2b", mc.DeliverMessage, rnd, p, a_name)
+            drv.take(mc.Learn(p, rnd, value))
         shadow = nxt
 
     if drop_rest:
-        while st.pending:
-            do(mc.DropMessage(sorted(st.pending)[0]))
+        drv.drop_all_pending()
     else:
-        # receive everything that is still in flight; replies and stale
-        # rounds are plain receipts, so this cannot cascade
-        progress = True
-        while progress:
-            progress = False
-            for m in sorted(st.pending):
-                acts = mc.enabled(st)
-                if mc.DeliverMessage(m) in acts:
-                    do(mc.DeliverMessage(m))
-                    progress = True
+        # no acceptor owes a reply, so every receipt left is a plain one
+        drv.deliver_promptly()
         for p in sorted(crash_set):
-            do(mc.Crash(p))
-        if st.pending:
-            return None  # an owed reply remains undeliverable; not closable
-    return states
+            drv.crash(p)
+    return drv.states
 
 
 def check_liveness_lasso(config: SystemConfig, link: CatalogId,

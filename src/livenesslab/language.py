@@ -184,6 +184,12 @@ _KEYWORDS = {
 # printing precedences: a quantifier, then the binary levels, then the rest
 _PREC_QUANT, _PREC_UNARY, _PREC_POSTFIX = 0, len(_BINARY) + 1, len(_BINARY) + 2
 
+#: the deepest nesting the parser accepts: every parenthesis, prefix
+#: operator, quantifier and chained binary or postfix operator opens one
+#: level.  The parser and the tree walkers after it recurse per level, so
+#: this keeps them well inside Python's recursion limit.
+MAX_NESTING = 64
+
 
 class _Parser:
     def __init__(self, text: str, params: Optional[dict] = None):
@@ -193,6 +199,7 @@ class _Parser:
         self.params = dict(params or {})
         self.time_vars: set = set()
         self.bound: list = []  # variables in scope, innermost last
+        self.depth = -1        # nesting levels open; see MAX_NESTING
 
     # --- token helpers ----------------------------------------------------
     def peek(self, ahead: int = 0) -> _Tok:
@@ -219,6 +226,13 @@ class _Parser:
     def at_quantifier(self) -> bool:
         return self.peek().text in ("each", "some")
 
+    def nest(self, tok: _Tok) -> None:
+        """Open one level of nesting at ``tok``; the caller closes it."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise LanguageError(f"line {tok.span.line}:{tok.span.column}: nesting "
+                                f"deeper than {MAX_NESTING} levels")
+
     def param(self, tok: _Tok) -> int:
         """The value bound to the parameter ``tok`` names; durations, slot
         counts and tick offsets are never negative."""
@@ -241,9 +255,10 @@ class _Parser:
 
     # --- expression levels --------------------------------------------------
     def expr(self) -> PropertyExpr:
-        if self.at_quantifier():
-            return self.quantified()
-        return self.binary(0)
+        self.nest(self.peek())
+        expr = self.quantified() if self.at_quantifier() else self.binary(0)
+        self.depth -= 1
+        return expr
 
     def quantified(self) -> PropertyExpr:
         kind = self.next().text
@@ -377,28 +392,37 @@ class _Parser:
         if level == len(_BINARY):
             return self.unary()
         word, cls, right_assoc = _BINARY[level]
+        depth = self.depth
         left = self.binary(level + 1)
         while self.peek().text == word:
-            self.next()
+            self.nest(self.next())
             if self.at_quantifier():
-                return cls(left, self.quantified())
+                left = cls(left, self.quantified())
+                break
             if right_assoc:
-                return cls(left, self.binary(level))
+                left = cls(left, self.binary(level))
+                break
             left = cls(left, self.binary(level + 1))
+        self.depth = depth
         return left
 
     def unary(self) -> PropertyExpr:
         cls = _PREFIX.get(self.peek().text)
         if cls is None:
             return self.postfix()
-        self.next()
-        return cls(self.quantified() if self.at_quantifier() else self.unary())
+        self.nest(self.next())
+        expr = cls(self.quantified() if self.at_quantifier() else self.unary())
+        self.depth -= 1
+        return expr
 
     def postfix(self) -> PropertyExpr:
+        depth = self.depth
         expr = self.primary()
         while self.peek().text in _POSTFIX:
+            self.nest(self.peek())
             cls, _field, read, _write = _POSTFIX[self.next().text]
             expr = cls(expr, getattr(self, read)())
+        self.depth = depth
         return expr
 
     def primary(self) -> PropertyExpr:

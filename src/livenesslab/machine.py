@@ -1,15 +1,17 @@
 """Executable single-value Paxos with explicit fault and delivery actions.
 
-Each applied action advances the tick by exactly one; the tick is therefore
-the count of actions executed.  One action covers one message send
-(broadcasts count once), one message receipt/handle, or one learn; starting
-a leader election (adopting a fresh ballot and broadcasting its prepare) is
-a single action.
+Each applied action advances the tick by exactly one; a state carries no
+tick, because its tick is its position in the run.  One action covers one
+message send (broadcasts count once), one message receipt/handle, or one
+learn; starting a leader election (adopting a fresh ballot and broadcasting
+its prepare) is a single action.
 
 A state holds only the observation that the properties read and the
 messages in flight.  Every protocol fact (the rounds started, each
 proposer's current round, each acceptor's ballot and vote, the rounds whose
-accept was sent) is read off the observation's histories by ``_facts``.
+accept was sent) is read off the observation's histories, which is exact
+because ``apply_action`` checks every step against the enabled set.  A
+state reads its facts and its enabled actions at most once, on first use.
 
 State values are immutable; ``apply_action`` returns a new state, so
 parallel exploration is safe as long as each worker owns its frontier
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .temporal import ObservationState, Trace
@@ -201,27 +204,6 @@ def _action_key(a):
 # ---------------------------------------------------------------------------
 # machine state
 
-@dataclass(frozen=True)
-class MachineState:
-    config: SystemConfig
-    tick: int
-    obs: ObservationState
-    pending: frozenset            # undelivered, undropped Msg copies
-
-    def prop_round_of(self, p: str) -> Optional[tuple]:
-        return _facts(self).current.get(p)
-
-
-def init(config: SystemConfig) -> MachineState:
-    """Fresh machine: tick 0, all processes non-faulty, no messages."""
-    obs = ObservationState(
-        nf_procs=frozenset(config.servers) | frozenset(config.clients),
-        primaries=frozenset(),
-        roster=frozenset(config.servers),
-    )
-    return MachineState(config=config, tick=0, obs=obs, pending=frozenset())
-
-
 class _Facts(NamedTuple):
     started: set      # rounds whose prepare (1a) was sent
     current: dict     # proposer -> its last started round in config order
@@ -234,106 +216,130 @@ class _Facts(NamedTuple):
     reports: dict     # proposer -> {(round, value): voters} received
 
 
-def _facts(state: MachineState) -> _Facts:
-    """Read the protocol facts off the state's histories, each set once.
+@dataclass(frozen=True)
+class MachineState:
+    config: SystemConfig
+    obs: ObservationState
+    pending: frozenset            # undelivered, undropped Msg copies
 
-    Exact as long as only enabled actions were applied: a proposer starts
-    its rounds in config order, and an acceptor's ballot and vote rounds
-    never decrease."""
-    obs = state.obs
-    started, accepted, maxbal, vote = set(), set(), {}, {}
-    prepared, promises, reports = {}, {}, {}
+    def prop_round_of(self, p: str) -> Optional[tuple]:
+        return self.facts.current.get(p)
 
-    def raise_bal(a, rnd):
-        if a not in maxbal or rnd > maxbal[a]:
-            maxbal[a] = rnd
+    # cached per state; equality and hashing read the three fields only
+    @cached_property
+    def facts(self) -> _Facts:
+        """The protocol facts, read off the histories, each set once.
 
-    for (snd, wire, _rcv) in obs.sent:
-        if wire[0] == "1a":
-            started.add(wire[1])
-        elif wire[0] == "2a":
-            accepted.add(wire[1])
-        elif wire[0] == "1b":
-            raise_bal(snd, wire[1])
-    for (a, rnd, _slot, val) in obs.voted:
-        raise_bal(a, rnd)
-        if a not in vote or rnd > vote[a][0]:
-            vote[a] = (rnd, val)
-    for (rcv, wire, snd) in obs.received:
-        if wire[0] == "1a":
-            prepared.setdefault(wire[1], set()).add(rcv)
-        elif wire[0] == "1b":
-            promises.setdefault((rcv, wire[1]), set()).add((snd, wire[2:]))
-        elif wire[0] == "2b":
-            reports.setdefault(rcv, {}).setdefault(wire[1:3], set()).add(snd)
-    current, unused = {}, {}
-    for rnd in state.config.rounds:
-        if rnd in started:
-            current[rnd[1]] = rnd
-        else:
-            unused.setdefault(rnd[1], []).append(rnd)
-    return _Facts(started, current, unused, accepted, maxbal, vote,
-                  prepared, promises, reports)
+        Exact because only enabled actions are applied: a proposer starts
+        its rounds in config order, and an acceptor's ballot and vote rounds
+        never decrease."""
+        obs = self.obs
+        started, accepted, maxbal, vote = set(), set(), {}, {}
+        prepared, promises, reports = {}, {}, {}
+
+        def raise_bal(a, rnd):
+            if a not in maxbal or rnd > maxbal[a]:
+                maxbal[a] = rnd
+
+        for (snd, wire, _rcv) in obs.sent:
+            if wire[0] == "1a":
+                started.add(wire[1])
+            elif wire[0] == "2a":
+                accepted.add(wire[1])
+            elif wire[0] == "1b":
+                raise_bal(snd, wire[1])
+        for (a, rnd, _slot, val) in obs.voted:
+            raise_bal(a, rnd)
+            if a not in vote or rnd > vote[a][0]:
+                vote[a] = (rnd, val)
+        for (rcv, wire, snd) in obs.received:
+            if wire[0] == "1a":
+                prepared.setdefault(wire[1], set()).add(rcv)
+            elif wire[0] == "1b":
+                promises.setdefault((rcv, wire[1]), set()).add((snd, wire[2:]))
+            elif wire[0] == "2b":
+                reports.setdefault(rcv, {}).setdefault(wire[1:3], set()).add(snd)
+        current, unused = {}, {}
+        for rnd in self.config.rounds:
+            if rnd in started:
+                current[rnd[1]] = rnd
+            else:
+                unused.setdefault(rnd[1], []).append(rnd)
+        return _Facts(started, current, unused, accepted, maxbal, vote,
+                      prepared, promises, reports)
+
+    @cached_property
+    def actions(self) -> tuple:
+        """The enabled actions; see ``enabled``."""
+        cfg = self.config
+        nf = self.obs.nf_procs
+        f = self.facts
+        out = []
+
+        for p in cfg.proposers:
+            if p not in nf:
+                continue
+            if f.unused.get(p):
+                out.append(StartLeaderElection(p))
+            rnd = f.current.get(p)
+            if rnd is not None:
+                received_by = f.prepared.get(rnd, set()) | {
+                    m.receiver for m in self.pending
+                    if m.kind == "1a" and m.round == rnd
+                }
+                if any(a not in received_by for a in cfg.acceptors):
+                    out.append(ProposerSendPrepare(p))
+                promisers = {a for (a, _prior) in f.promises.get((p, rnd), ())}
+                if (any(q <= promisers for q in cfg.quorums)
+                        and rnd not in f.accepted):
+                    out.append(ProposerSendAccept(p))
+            for (rnd, val), voters in f.reports.get(p, {}).items():
+                if any(q <= voters for q in cfg.quorums) and not any(
+                    e[0] == p and e[2] == val for e in self.obs.learned
+                ):
+                    out.append(Learn(p, rnd, val))
+
+        for m in self.pending:
+            out.append(DropMessage(m))
+            if m.receiver not in nf:
+                continue
+            bal = f.maxbal.get(m.receiver)
+            if m.kind == "1a" and m.receiver in cfg.acceptors:
+                if bal is None or m.round > bal:
+                    out.append(AcceptorPromise(m.receiver, m))
+                else:
+                    out.append(DeliverMessage(m))
+            elif m.kind == "2a" and m.receiver in cfg.acceptors:
+                vote = f.vote.get(m.receiver)
+                fresh = bal is None or m.round >= bal
+                revote = vote is not None and vote[0] == m.round
+                if fresh and not revote:
+                    out.append(AcceptorVote(m.receiver, m))
+                else:
+                    out.append(DeliverMessage(m))
+            else:
+                out.append(DeliverMessage(m))
+
+        for s in cfg.servers:
+            out.append(Crash(s) if s in nf else Recover(s))
+
+        return tuple(sorted(out, key=_action_key))
 
 
-def _quorum_of(state: MachineState, members: set) -> bool:
-    return any(q <= members for q in state.config.quorums)
+def init(config: SystemConfig) -> MachineState:
+    """Fresh machine: all processes non-faulty, no messages."""
+    obs = ObservationState(
+        nf_procs=frozenset(config.servers) | frozenset(config.clients),
+        primaries=frozenset(),
+        roster=frozenset(config.servers),
+    )
+    return MachineState(config=config, obs=obs, pending=frozenset())
 
 
 def enabled(state: MachineState) -> tuple:
-    """Deterministic, order-stable enumeration of the enabled actions."""
-    cfg = state.config
-    nf = state.obs.nf_procs
-    f = _facts(state)
-    out = []
-
-    for p in cfg.proposers:
-        if p not in nf:
-            continue
-        if f.unused.get(p):
-            out.append(StartLeaderElection(p))
-        rnd = f.current.get(p)
-        if rnd is not None:
-            received_by = f.prepared.get(rnd, set()) | {
-                m.receiver for m in state.pending
-                if m.kind == "1a" and m.round == rnd
-            }
-            if any(a not in received_by for a in cfg.acceptors):
-                out.append(ProposerSendPrepare(p))
-            promisers = {a for (a, _prior) in f.promises.get((p, rnd), ())}
-            if _quorum_of(state, promisers) and rnd not in f.accepted:
-                out.append(ProposerSendAccept(p))
-        for (rnd, val), voters in f.reports.get(p, {}).items():
-            if _quorum_of(state, voters) and not any(
-                e[0] == p and e[2] == val for e in state.obs.learned
-            ):
-                out.append(Learn(p, rnd, val))
-
-    for m in state.pending:
-        out.append(DropMessage(m))
-        if m.receiver not in nf:
-            continue
-        bal = f.maxbal.get(m.receiver)
-        if m.kind == "1a" and m.receiver in cfg.acceptors:
-            if bal is None or m.round > bal:
-                out.append(AcceptorPromise(m.receiver, m))
-            else:
-                out.append(DeliverMessage(m))
-        elif m.kind == "2a" and m.receiver in cfg.acceptors:
-            vote = f.vote.get(m.receiver)
-            fresh = bal is None or m.round >= bal
-            revote = vote is not None and vote[0] == m.round
-            if fresh and not revote:
-                out.append(AcceptorVote(m.receiver, m))
-            else:
-                out.append(DeliverMessage(m))
-        else:
-            out.append(DeliverMessage(m))
-
-    for s in cfg.servers:
-        out.append(Crash(s) if s in nf else Recover(s))
-
-    return tuple(sorted(out, key=_action_key))
+    """Deterministic, order-stable enumeration of the enabled actions,
+    computed once per state."""
+    return state.actions
 
 
 def _check_safety(obs: ObservationState, config: SystemConfig) -> None:
@@ -363,10 +369,11 @@ def _grown(old: frozenset, added: set) -> frozenset:
     return old if added <= old else old | added
 
 
-def apply_action(state: MachineState, action, check: bool = True) -> MachineState:
-    """Apply one enabled action; tick advances by one."""
-    if check and action not in enabled(state):
-        raise ActionNotEnabled(f"{action} is not enabled at tick {state.tick}")
+def apply_action(state: MachineState, action) -> MachineState:
+    """Apply one enabled action (ActionNotEnabled for any other); the tick
+    advances by one."""
+    if action not in state.actions:
+        raise ActionNotEnabled(f"{action} is not enabled")
 
     cfg = state.config
     obs = state.obs
@@ -387,24 +394,24 @@ def apply_action(state: MachineState, action, check: bool = True) -> MachineStat
 
     if isinstance(action, StartLeaderElection):
         p = action.proposer
-        f = _facts(state)
+        f = state.facts
         rnd = f.unused[p][0]
         for a in cfg.acceptors:
             send(Msg("1a", rnd, p, a))
         primaries = frozenset({max(f.started | {rnd})[1]})
     elif isinstance(action, ProposerSendPrepare):
         p = action.proposer
-        rnd = _facts(state).current[p]
+        rnd = state.facts.current[p]
         for a in cfg.acceptors:
             send(Msg("1a", rnd, p, a))
     elif isinstance(action, AcceptorPromise):
         a, m = action.acceptor, action.msg
         receive(m)
-        prior = _facts(state).vote.get(a, ())
+        prior = state.facts.vote.get(a, ())
         send(Msg("1b", m.round, a, m.sender, prior))
     elif isinstance(action, ProposerSendAccept):
         p = action.proposer
-        f = _facts(state)
+        f = state.facts
         rnd = f.current[p]
         priors = [prior for (_a, prior) in f.promises.get((p, rnd), ()) if prior]
         if priors:
@@ -443,7 +450,7 @@ def apply_action(state: MachineState, action, check: bool = True) -> MachineStat
         learned=_grown(obs.learned, learned),
     )
     _check_safety(new_obs, cfg)
-    return MachineState(cfg, state.tick + 1, new_obs, frozenset(pending))
+    return MachineState(cfg, new_obs, frozenset(pending))
 
 
 def run(config: SystemConfig, actions) -> list:

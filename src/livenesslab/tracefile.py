@@ -87,16 +87,15 @@ def _int_or_null(line: int, header: dict, key: str):
     return value
 
 
-def _plain(value):
-    if isinstance(value, (tuple, list)):
-        return [_plain(v) for v in value]
+def _sorted_set(value):
+    """``json``'s hook for sets: an array in ``_sort_key`` order."""
     if isinstance(value, frozenset):
-        return sorted((_plain(v) for v in value), key=_sort_key)
-    return value
+        return sorted(value, key=_sort_key)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _sort_key(value):
-    return json.dumps(value, sort_keys=True)
+    return json.dumps(value, sort_keys=True, default=_sorted_set)
 
 
 def _frozen(value):
@@ -106,7 +105,7 @@ def _frozen(value):
 
 
 def _dump(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return json.dumps(record, sort_keys=True, separators=(",", ":"), default=_sorted_set)
 
 
 def config_record(config: SystemConfig) -> dict:
@@ -115,8 +114,8 @@ def config_record(config: SystemConfig) -> dict:
         "acceptors": list(config.acceptors),
         "clients": list(config.clients),
         "quorums": sorted((sorted(q) for q in config.quorums), key=_sort_key),
-        "values": _plain(tuple(config.values)),
-        "rounds": _plain(tuple(config.rounds)),
+        "values": list(config.values),
+        "rounds": list(config.rounds),
         "slot_bound": config.slot_bound,
     }
 
@@ -183,10 +182,8 @@ def write_trace(trace: Trace, fp: IO[str]) -> None:
               "loop_start": trace.loop_start}
     fp.write(_dump(header) + "\n")
     for t, st in enumerate(trace.states):
-        rec = {"kind": "state", "tick": t}
-        for f in _SET_FIELDS:
-            rec[f] = _plain(getattr(st, f))
-        fp.write(_dump(rec) + "\n")
+        sets = {f: getattr(st, f) for f in _SET_FIELDS}
+        fp.write(_dump({"kind": "state", "tick": t, **sets}) + "\n")
 
 
 def read_trace(fp: IO[str]) -> Trace:
@@ -240,7 +237,7 @@ def write_schedule(schedule, fp: IO[str]) -> None:
         "seed": schedule.seed,
         "target": target_record(schedule.target),
         "loop_start": schedule.loop_start,
-        "fault_plan": _plain(tuple(schedule.fault_plan)),
+        "fault_plan": list(schedule.fault_plan),
     }
     fp.write(_dump(header) + "\n")
     for rank in schedule.steps:

@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from livenesslab import checker
 from livenesslab.catalog import ASSERTION_SINGLE, LINK, SERVER, CatalogId
 from livenesslab.checker import (
     BudgetExceeded, CheckRun, check_liveness_lasso,
@@ -8,6 +11,7 @@ from livenesslab.checker import (
 from livenesslab.machine import make_config
 from livenesslab.temporal import eval_expr
 from livenesslab.catalog import build
+from livenesslab.tracefile import trace_to_text
 
 
 def test_formula_oracle_values():
@@ -132,16 +136,16 @@ def test_lasso_search_raw_alw_eachvote_counterexample():
 
 def test_realized_closures_apply_only_enabled_actions(monkeypatch):
     # machine states read their protocol facts off the histories, which is
-    # exact only along enabled actions, and closures apply theirs unchecked
+    # exact only along enabled actions
     from livenesslab import machine as mc
 
     apply, applied, disabled = mc.apply_action, [], []
 
-    def checked(st, action, check=True):
+    def checked(st, action):
         applied.append(action)
         if action not in mc.enabled(st):
             disabled.append(action)
-        return apply(st, action, check=False)
+        return apply(st, action)
 
     monkeypatch.setattr(mc, "apply_action", checked)
     cfg = competing_rounds_config(2, 3)
@@ -171,3 +175,63 @@ def test_lasso_search_fair_alw_somelearn_holds_by_exhaustion():
                                CatalogId(ASSERTION_SINGLE, "Some-Learn"))
     assert res.outcome == "holds"
     assert res.states_explored == 235753
+
+
+def _counted_search(monkeypatch, cfg, link, server, assertion):
+    """The search's result, the closures it realized, and how many of those
+    the link re-check rejected."""
+    link_id = CatalogId(LINK, *link)
+    link_expr = build(link_id)
+    realize, realized, rejected = checker._realize, [], []
+
+    def counting_realize(*args):
+        states = realize(*args)
+        if states is not None:
+            realized.append(states)
+        return states
+
+    def counting_eval(expr, trace):
+        verdict = eval_expr(expr, trace)
+        if expr is link_expr and not verdict.is_holds:
+            rejected.append(trace)
+        return verdict
+
+    monkeypatch.setattr(checker, "_realize", counting_realize)
+    monkeypatch.setattr(checker, "eval_expr", counting_eval)
+    res = check_liveness_lasso(cfg, link_id, CatalogId(SERVER, server),
+                               CatalogId(ASSERTION_SINGLE, assertion))
+    return res, len(realized), len(rejected)
+
+
+def _trace_sha256(trace) -> str:
+    return hashlib.sha256(trace_to_text(trace).encode()).hexdigest()
+
+
+# the realized closures below are the ones that run the accept, vote and
+# learn steps and the link re-check; their trace bytes are pinned
+def test_lasso_search_fair_alw_eachlearn_counterexample_pinned(monkeypatch):
+    res, realized, rejected = _counted_search(
+        monkeypatch, competing_rounds_config(2, 3), ("Fair",), "Alw", "Each-Learn")
+    assert res.is_counterexample
+    assert (res.states_explored, realized, rejected) == (2686, 1, 0)
+    assert _trace_sha256(res.trace) == (
+        "302a5d2b0dd7fa00cedec0de2636278f2c9a4d2e184804a8d8b4a0f6d955ed0d")
+
+
+def test_lasso_search_sure2_rejects_closures_on_the_link(monkeypatch):
+    res, realized, rejected = _counted_search(
+        monkeypatch, competing_rounds_config(1, 3), ("Sure", (2,)), "Alw",
+        "Each-Learn")
+    assert res.is_counterexample
+    assert (res.states_explored, realized, rejected) == (568, 7, 6)
+    assert eval_expr(build(CatalogId(LINK, "Sure", (2,))), res.trace).is_holds
+    assert _trace_sha256(res.trace) == (
+        "0222406b19fdfadb873ae6185472c760f28f5c508939bff3914d23090ce5ab80")
+
+
+def test_lasso_search_sure0_holds_after_rejecting_every_closure(monkeypatch):
+    res, realized, rejected = _counted_search(
+        monkeypatch, competing_rounds_config(1, 3), ("Sure", (0,)), "Alw",
+        "Each-Learn")
+    assert res.outcome == "holds"
+    assert (res.states_explored, realized, rejected) == (2681, 164, 164)

@@ -1,14 +1,18 @@
 """Every invocation documented in the README runs here and must match its
 recorded output."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from livenesslab.cli import main
+from livenesslab.language import MAX_NESTING
 
 
 def run(capsys, *argv):
@@ -424,3 +428,120 @@ def test_modelcheck_and_hierarchy_write_their_tables_to_out(tmp_path, capsys):
     code, out, _err = run(capsys, *h, "--out", str(tmp_path / "h.txt"))
     assert (code, out) == (0, "")
     assert (tmp_path / "h.txt").read_text() == shown
+
+
+@pytest.mark.parametrize("nested, column", [
+    (lambda n: "(" * n + "true" + ")" * n, MAX_NESTING + 2),   # at the true
+    (lambda n: "not " * n + "true", 4 * MAX_NESTING + 1),      # at the last not
+], ids=["parentheses", "not chain"])
+def test_nesting_bound_on_spec_and_trace_check(tmp_path, capsys, nested, column):
+    lasso = str(tmp_path / "raft.lasso")
+    assert run(capsys, "scenario", "raft-eachvote", "--out", lasso)[0] == 0
+    for depth, codes in ((MAX_NESTING, (0, 1)), (MAX_NESTING + 1, (2,))):
+        text = nested(depth)
+        for argv in (["spec", "parse", text], ["spec", "print", text],
+                     ["trace", "check", lasso, "--property", text]):
+            code, _out, err = run(capsys, *argv)
+            assert code in codes, (argv[:2], depth, err)
+            if code == 2:
+                assert err == (f"error: line 1:{column}: nesting deeper than "
+                               f"{MAX_NESTING} levels\n")
+
+
+def test_modelcheck_over_its_budget_exits_3(capsys):
+    code, out, err = run(capsys, "modelcheck", "--proposers", "2", "--acceptors",
+                         "3", "--start", "2", "--max-states", "10")
+    assert (code, out) == (3, "")
+    assert err.startswith("budget exceeded:")
+
+
+def test_simulate_of_an_unrealizable_target_exits_3(capsys):
+    code, out, err = run(capsys, "simulate", "--target", "Sure(0)")
+    assert (code, out) == (3, "")
+    assert err.startswith("cannot realize:")
+
+
+def test_simulate_schedule_out_replays_to_its_trace(tmp_path, capsys):
+    from livenesslab.adversary import run_schedule
+    from livenesslab.tracefile import read_schedule, trace_to_text
+
+    trace, schedule = tmp_path / "run.trace", tmp_path / "run.schedule"
+    code, _out, _err = run(capsys, "simulate", "--target", "Fair,Alw-Q", "--seed",
+                           "7", "--out", str(trace), "--schedule-out", str(schedule))
+    assert code == 0
+    with open(schedule) as fp:
+        replayed = run_schedule(read_schedule(fp))
+    assert trace_to_text(replayed) == trace.read_text()
+
+
+# --- argv fuzz ---------------------------------------------------------------
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+_SMALL = st.integers(-1, 3)             # process counts and corpus sizes
+_JOBS = st.sampled_from([-1, 0, 1])     # never a process pool
+_FILES = st.sampled_from(["LASSO", "OUT", "MISSING"])
+_PROPERTIES = st.one_of(
+    st.sampled_from(["Some-Learn", "Each-Vote", "Sure(2)", "Sure(x)", "Sure(1,2)",
+                     "Some-Learn(0)", "Bogus", "alw true", "evt (", "alw evt D",
+                     "(" * (MAX_NESTING + 1) + "true" + ")" * (MAX_NESTING + 1)]),
+    st.text(alphabet="() notalwevtrusD,.", max_size=24))
+_TARGETS = st.sampled_from(["Fair,Alw-Q", "Sure(0)", "Raw:violate,Alw", "Q-Alw",
+                            "Fair:bogus", "Some-Learn", "Fair,Raw", "",
+                            "Sure(1):violate,PQ-Dur(2):violate"])
+
+_COMMANDS = st.one_of(
+    st.tuples(st.just(["catalog", "list"]),
+              _opt("--format", st.sampled_from(["text", "csv", "records", "xml"]))),
+    st.tuples(st.just(["spec"]), st.sampled_from([["parse"], ["print"], ["check"]]),
+              _PROPERTIES.map(lambda p: [p]), _opt("--param", st.sampled_from(
+                  ["D=2", "D=-1", "D=x", "=3", "D"]))),
+    st.tuples(st.just(["trace", "check"]), _FILES.map(lambda f: [f]),
+              _PROPERTIES.map(lambda p: ["--property", p]),
+              _opt("--now", st.integers(-2, 40))),
+    st.tuples(st.just(["simulate"]), _TARGETS.map(lambda t: ["--target", t]),
+              _opt("--mode", st.sampled_from(["satisfy", "violate", "x"])),
+              _opt("--proposers", _SMALL), _opt("--acceptors", _SMALL),
+              _opt("--schedule-out", _FILES)),
+    st.tuples(st.just(["scenario"]),
+              st.sampled_from([["raft-eachvote"], ["paxos-complex-livelock"], ["x"]])),
+    st.tuples(st.just(["modelcheck"]), _SMALL.map(lambda n: ["--proposers", str(n)]),
+              _SMALL.map(lambda n: ["--acceptors", str(n)]),
+              st.lists(st.integers(-1, 4).map(str), min_size=1, max_size=2).map(
+                  lambda xs: ["--start", *xs]),
+              st.integers(-1, 1000).map(lambda n: ["--max-states", str(n)]),
+              _opt("--jobs", _JOBS)),
+    st.tuples(st.just(["hierarchy", "check"]),
+              _SMALL.map(lambda n: ["--corpus", str(n)]),
+              _opt("--jobs", _JOBS), _opt("--report", _FILES)),
+)
+
+
+@st.composite
+def _argv(draw):
+    argv = [tok for part in draw(_COMMANDS) for tok in part]
+    argv += draw(_opt("--seed", st.integers(-1, 9)))
+    argv += draw(_opt("--out", _FILES))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(argv)))
+        argv.insert(k, draw(st.sampled_from(["--bogus", "-", "--jobs", "3x", ""])))
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_argv())
+def test_fuzz_argv_exits_with_a_documented_code(tmp_path_factory, argv):
+    work = tmp_path_factory.mktemp("argv")
+    lasso = str(work / "raft.lasso")
+    files = {"LASSO": lasso, "OUT": str(work / "out"), "MISSING": str(work / "none")}
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(["scenario", "raft-eachvote", "--out", lasso]) == 0
+        try:
+            code = main([files.get(tok, tok) for tok in argv])
+        except SystemExit as exc:      # argparse rejects the command line
+            code = exc.code
+            assert code == 2, argv
+    assert code in (0, 1, 2, 3), argv

@@ -228,3 +228,15 @@ def test_fuzz_parse_and_spec_parse(text):
             contextlib.redirect_stderr(io.StringIO()) as err:
         code = main(argv)
     assert code == (2 if expr is None else 0), (text, err.getvalue())
+
+
+@pytest.mark.parametrize("text", [
+    " and ".join(["true"] * 2000),
+    " implies ".join(["true"] * 2000),
+    "true" + " lasts 1" * 2000,
+    "evt " * 2000 + "true",
+    "each x in servers has " * 2000 + "true",
+])
+def test_long_chains_are_refused_not_overflowed(text):
+    with pytest.raises(LanguageError, match="nesting deeper than"):
+        parse(text)

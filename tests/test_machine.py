@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -35,7 +36,6 @@ def test_init_2p3a_has_five_servers_and_majorities():
     assert set(cfg.quorums) == {frozenset(c) for c in
                                 itertools.combinations(("a1", "a2", "a3"), 2)}
     st = init(cfg)
-    assert st.tick == 0
     assert not st.pending
     assert st.obs.nf_procs >= frozenset(cfg.servers)
 
@@ -74,7 +74,6 @@ def test_prepare_round_trip_and_learn():
     cfg = make_config(2, 3)
     st = init(cfg)
     st = drive(st, lambda a: isinstance(a, StartLeaderElection) and a.proposer == "p1")
-    assert st.tick == 1
     assert len(st.pending) == 3                     # one prepare per acceptor
     for _ in range(3):
         st = drive(st, lambda a: isinstance(a, AcceptorPromise))
@@ -128,6 +127,32 @@ def test_apply_rejects_disabled_action():
         apply_action(st, Crash("nobody"))
 
 
+def test_state_computes_enabled_once_and_every_step_is_checked():
+    assert [f.name for f in dataclasses.fields(mc.MachineState)] == [
+        "config", "obs", "pending"]
+    cfg = make_config(2, 3)
+    st = init(cfg)
+    rng = random.Random(5)
+    rejected = 0
+    for _ in range(40):
+        acts = enabled(st)
+        assert enabled(st) is acts
+        # each receipt of a pending message has one enabled form; every
+        # other form is refused
+        for m in st.pending:
+            for form in (AcceptorPromise(m.receiver, m),
+                         AcceptorVote(m.receiver, m), DeliverMessage(m)):
+                if form not in acts:
+                    with pytest.raises(ActionNotEnabled):
+                        apply_action(st, form)
+                    rejected += 1
+        st = apply_action(st, rng.choice(acts))
+        # the cached values take no part in equality or hashing
+        bare = mc.MachineState(st.config, st.obs, st.pending)
+        assert bare == st and hash(bare) == hash(st)
+    assert rejected
+
+
 def test_tick_counts_actions_and_trace_is_deterministic():
     cfg = make_config(2, 3)
     actions = []
@@ -138,8 +163,8 @@ def test_tick_counts_actions_and_trace_is_deterministic():
         action = acts[rng.randrange(len(acts))]
         actions.append(action)
         st = apply_action(st, action)
-    assert st.tick == 12
     states_a = mc.run(cfg, actions)
+    assert states_a[12] == st                       # a state's tick is its index
     states_b = mc.run(cfg, actions)
     ta = trace_to_text(trace_of(states_a))
     tb = trace_to_text(trace_of(states_b))
@@ -253,7 +278,7 @@ def test_random_walks_match_golden_digest():
             if (isinstance(action, Crash) and action.process in cfg.acceptors
                     and st.obs.sent):
                 reached["acceptor crash"] += 1
-            st = apply_action(st, action, check=False)
+            st = apply_action(st, action)
         digest.update(repr(_canonical_obs(st.obs)).encode())
     assert drawn == set(mc.Action)
     assert all(reached.values()), reached

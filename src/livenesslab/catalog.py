@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .temporal import (
@@ -68,9 +68,15 @@ def resolve_name(name: str) -> str:
 
 @dataclass(frozen=True)
 class CatalogId:
+    """A catalog property by kind, name and parameters.  Ids key the
+    per-trace verdict caches and `build`'s cache, so the hash is computed
+    once; pickles carry only the three fields, and the hash is recomputed
+    on load, since string hashes differ between processes."""
+
     kind: str
     name: str
     params: tuple = ()
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _NAMES:
@@ -83,6 +89,16 @@ class CatalogId:
         if self.params and len(self.params) != arity:
             raise UnknownProperty(
                 f"{self.name} takes {arity} parameter(s), got {self.params!r}")
+        object.__setattr__(self, "_hash", hash((self.kind, self.name, self.params)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        return {"kind": self.kind, "name": self.name, "params": self.params}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(**state)
 
     def label(self) -> str:
         if self.params:

@@ -99,13 +99,21 @@ class _Kernel:
 
     Rounds are numbered 1..pool.  Acceptor a's promise (or vote) in round b
     is bit a*pool + b-1 of a promise (or vote) mask, and maxbal[a] is the
-    highest round a has promised or voted in.  The owner tables follow the
+    highest round a has promised or voted in; each search builds the
+    successor of a promise or vote by an acceptor that `promisers` or
+    `voters` names by raising maxbal[a] to b and setting bits[b][a] in the
+    mask, with no intermediate tuple.  The owner tables follow the
     config's sorted rounds: a round names its owner, and a round naming no
     proposer falls to proposer k mod |proposers|.  Round b is its owner's
     current round while no later round of the same owner has started, that
     is while the number of started rounds is below next_own[b].  The pool
     defaults to the config's rounds; `explore` passes its own pool size and
     never reads the owner tables.
+
+    A quorum test masks the round's acceptor bits out of a mask and looks
+    the pattern up in one table.  Bits of different rounds never overlap, so
+    a non-zero pattern names its round, and the table is filled on first
+    use: at most pool * 2**j entries, far fewer in practice.
     """
 
     def __init__(self, config: SystemConfig, pool: Optional[int] = None):
@@ -120,6 +128,8 @@ class _Kernel:
         self.quorums = [()] + [
             tuple(sum(bits[index[a]] for a in q) for q in config.quorums)
             for bits in self.bits[1:]]
+        self.round_bits = [0] + [sum(bits) for bits in self.bits[1:]]
+        self.quorate = {}   # round-masked pattern -> holds a quorum
         proposers = config.proposers
         self.owner = [None] + [
             rnd[1] if isinstance(rnd, tuple) and rnd[1] in proposers
@@ -141,21 +151,20 @@ class _Kernel:
         return [a for a in range(self.j) if mask & bits[a]]
 
     def quorum(self, mask: int, b: int) -> bool:
-        return any(mask & q == q for q in self.quorums[b])
+        m = mask & self.round_bits[b]
+        hit = self.quorate.get(m)
+        if hit is None:
+            hit = self.quorate[m] = any(m & q == q for q in self.quorums[b])
+        return hit
 
-    def promises(self, maxbal: tuple, pmask: int, b: int) -> list:
-        """(acceptor, new maxbal, new promise mask) for each acceptor that
-        can promise round b."""
-        bits = self.bits[b]
-        return [(a, maxbal[:a] + (b,) + maxbal[a + 1:], pmask | bits[a])
-                for a in range(self.j) if maxbal[a] < b]
+    def promisers(self, maxbal: tuple, b: int) -> list:
+        """Acceptors that can promise round b."""
+        return [a for a in range(self.j) if maxbal[a] < b]
 
-    def votes(self, maxbal: tuple, vmask: int, b: int) -> list:
-        """(acceptor, new maxbal, new vote mask) for each acceptor that can
-        vote in round b, whose accept is assumed sent."""
+    def voters(self, maxbal: tuple, vmask: int, b: int) -> list:
+        """Acceptors that can vote in round b, whose accept is assumed sent."""
         bits = self.bits[b]
-        return [(a, maxbal[:a] + (b,) + maxbal[a + 1:], vmask | bits[a])
-                for a in range(self.j) if maxbal[a] <= b and not vmask & bits[a]]
+        return [a for a in range(self.j) if maxbal[a] <= b and not vmask & bits[a]]
 
     def accept_value(self, pmask: int, vmask: int, accepted: tuple, b: int):
         """The 1b rule: the value of the latest round below b in which a
@@ -195,9 +204,6 @@ def explore(config: SystemConfig, stable_start: int,
     #         accept bitmask, vote bitmask); round b's accept is bit b-1
     init = (0, 0, (0,) * k.j, 0, 0, 0)
 
-    def reaches_consensus(vmask: int, nb: int) -> bool:
-        return any(k.quorum(vmask, b) for b in range(1, nb + 1))
-
     def successors(st):
         tick, nb, maxbal, pmask, amask, vmask = st
         out = []
@@ -207,15 +213,19 @@ def explore(config: SystemConfig, stable_start: int,
         for b in range(max(hi_accepted, 1), nb + 1):
             if b != nb and k.quorum(pmask, b):
                 continue
-            for _a, nm, pm in k.promises(maxbal, pmask, b):
-                out.append((tick + 1, nb, nm, pm, amask, vmask))
+            bits = k.bits[b]
+            for a in k.promisers(maxbal, b):
+                nm = maxbal[:a] + (b,) + maxbal[a + 1:]
+                out.append((tick + 1, nb, nm, pmask | bits[a], amask, vmask))
         b = nb
         if b >= 1 and not (amask >> (b - 1) & 1):
             if k.quorum(pmask, b):
                 out.append((tick + 1, nb, maxbal, pmask, amask | (1 << (b - 1)), vmask))
         elif b >= 1:
-            for _a, nm, vm in k.votes(maxbal, vmask, b):
-                out.append((tick + 1, nb, nm, pmask, amask, vm))
+            bits = k.bits[b]
+            for a in k.voters(maxbal, vmask, b):
+                nm = maxbal[:a] + (b,) + maxbal[a + 1:]
+                out.append((tick + 1, nb, nm, pmask, amask, vmask | bits[a]))
         return out
 
     seen = {init}
@@ -226,7 +236,7 @@ def explore(config: SystemConfig, stable_start: int,
         st = frontier.popleft()
         succ = successors(st)
         generated += len(succ)
-        if not succ and not reaches_consensus(st[5], st[1]):
+        if not succ:
             raise NoConsensusPath(f"stuck without consensus at tick {st[0]}")
         for s in succ:
             if s in seen:
@@ -236,7 +246,11 @@ def explore(config: SystemConfig, stable_start: int,
             if s[0] > tick_cap:
                 raise BudgetExceeded("tick", tick_cap)
             seen.add(s)
-            if reaches_consensus(s[5], s[1]):
+            # A state with a vote quorum is never expanded, so no frontier
+            # state has a quorum in any round, and only a vote (always in
+            # the newest round) changes the vote mask: a successor reached
+            # consensus exactly when its newest round holds a vote quorum.
+            if k.quorum(s[5], s[1]):
                 if best is None or s[0] > best:
                     best = s[0]
             else:
@@ -276,14 +290,16 @@ def safety_scan(config: SystemConfig, max_states: int = 2_000_000) -> SafetyRepo
     #         accepted value per round, vote mask, learned value mask)
     init = (0, (0,) * k.j, 0, (), 0, 0)
 
-    def successors(st):
+    def successors(st, chosen):
         nb, maxbal, pmask, accepted, vmask, learned = st
         out = []
         if nb < k.pool:
             out.append((nb + 1, maxbal, pmask, accepted + (None,), vmask, learned))
         for b in range(1, nb + 1):
-            for _a, nm, pm in k.promises(maxbal, pmask, b):
-                out.append((nb, nm, pm, accepted, vmask, learned))
+            bits = k.bits[b]
+            for a in k.promisers(maxbal, b):
+                nm = maxbal[:a] + (b,) + maxbal[a + 1:]
+                out.append((nb, nm, pmask | bits[a], accepted, vmask, learned))
         for b in range(1, nb + 1):
             if accepted[b - 1] is None and k.quorum(pmask, b):
                 value = k.accept_value(pmask, vmask, accepted, b)
@@ -291,9 +307,11 @@ def safety_scan(config: SystemConfig, max_states: int = 2_000_000) -> SafetyRepo
                 out.append((nb, maxbal, pmask, acc, vmask, learned))
         for b in range(1, nb + 1):
             if accepted[b - 1] is not None:
-                for _a, nm, vm in k.votes(maxbal, vmask, b):
-                    out.append((nb, nm, pmask, accepted, vm, learned))
-        for v in chosen_values(st):
+                bits = k.bits[b]
+                for a in k.voters(maxbal, vmask, b):
+                    nm = maxbal[:a] + (b,) + maxbal[a + 1:]
+                    out.append((nb, nm, pmask, accepted, vmask | bits[a], learned))
+        for v in chosen:
             bit = 1 << value_index[v]
             if not learned & bit:
                 out.append((nb, maxbal, pmask, accepted, vmask, learned | bit))
@@ -304,8 +322,7 @@ def safety_scan(config: SystemConfig, max_states: int = 2_000_000) -> SafetyRepo
         return {accepted[b - 1] for b in range(1, nb + 1)
                 if accepted[b - 1] is not None and k.quorum(vmask, b)}
 
-    def check(st) -> Optional[str]:
-        chosen = chosen_values(st)
+    def check(st, chosen) -> Optional[str]:
         if len(chosen) > 1:
             return f"values {sorted(chosen)} each gathered a vote quorum"
         learned = st[5]
@@ -314,22 +331,27 @@ def safety_scan(config: SystemConfig, max_states: int = 2_000_000) -> SafetyRepo
                 return f"learned value {v!r} lacks a vote quorum"
         return None
 
+    # Each state is checked when it is popped, with the chosen values its
+    # learn moves read.  BFS pops states in the order it found them and the
+    # initial state has no votes, so the violations come out as they would
+    # if each state were checked when found.
     seen = {init}
     frontier = deque([init])
     generated = 0
     violations = []
     while frontier:
         st = frontier.popleft()
-        for s in successors(st):
+        chosen = chosen_values(st)
+        bad = check(st, chosen)
+        if bad:
+            violations.append(bad)
+        for s in successors(st, chosen):
             generated += 1
             if s in seen:
                 continue
             if len(seen) >= max_states:
                 raise BudgetExceeded("state", max_states)
             seen.add(s)
-            bad = check(s)
-            if bad:
-                violations.append(bad)
             frontier.append(s)
     return SafetyReport(config, len(seen), generated, tuple(violations))
 
@@ -372,9 +394,11 @@ class _Skeleton(_Kernel):
             out.append((("elect", nb + 1),
                         (nb + 1, maxbal, pmask, accepted + (None,), vmask, learned)))
         for b in range(1, nb + 1):
-            for a, nm, pm in self.promises(maxbal, pmask, b):
+            bits = self.bits[b]
+            for a in self.promisers(maxbal, b):
+                nm = maxbal[:a] + (b,) + maxbal[a + 1:]
                 out.append((("promise", a, b),
-                            (nb, nm, pm, accepted, vmask, learned)))
+                            (nb, nm, pmask | bits[a], accepted, vmask, learned)))
         for b in range(1, nb + 1):
             if (accepted[b - 1] is None and nb < self.next_own[b]
                     and self.quorum(pmask, b)):
@@ -384,9 +408,11 @@ class _Skeleton(_Kernel):
                             (nb, maxbal, pmask, acc, vmask, learned)))
         for b in range(1, nb + 1):
             if accepted[b - 1] is not None:
-                for a, nm, vm in self.votes(maxbal, vmask, b):
+                bits = self.bits[b]
+                for a in self.voters(maxbal, vmask, b):
+                    nm = maxbal[:a] + (b,) + maxbal[a + 1:]
                     out.append((("vote", a, b),
-                                (nb, nm, pmask, accepted, vm, learned)))
+                                (nb, nm, pmask, accepted, vmask | bits[a], learned)))
         for b in range(1, nb + 1):
             if accepted[b - 1] is None or not self.quorum(vmask, b):
                 continue

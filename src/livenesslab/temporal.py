@@ -758,6 +758,16 @@ def _junction(left, right, decisive):
 
 
 def _quantifier(members, slot, body, universal):
+    """``slot`` None: the body never reads the variable, so it has one
+    value for every member, and is evaluated once, if there is a member."""
+    if slot is None:
+        def constant(ctx, env, now):
+            values = members(ctx, env, now)
+            if values is None:
+                return None
+            return body(ctx, env, now) if values else universal
+        return constant
+
     def quantifier(ctx, env, now):
         values = members(ctx, env, now)
         if values is None:
@@ -963,7 +973,15 @@ def _junction_mask(left, right, decisive):
 def _quantifier_mask(members, slot, body, universal):
     """Over a domain that does not change with the tick.  The loop stops
     where the bindings so far decide every tick: the closures, taking the
-    values in the same order, never reach the rest."""
+    values in the same order, never reach the rest.  ``slot`` None: the
+    body never reads the variable and answers once, as in `_quantifier`."""
+    if slot is None:
+        def constant(ctx, env):
+            if members(ctx, env, 0):
+                return body(ctx, env)
+            return ctx.full if universal else 0
+        return constant
+
     def quantifier(ctx, env):
         decided = 0 if universal else ctx.full
         m = ctx.full ^ decided
@@ -979,7 +997,19 @@ def _quantifier_mask(members, slot, body, universal):
 def _servers_mask(slot, body, universal):
     """Over the roster: each server counts at the ticks it is on it.  The
     servers of every roster are taken in sorted order, so the loop may stop
-    where those so far decide every tick, as `_quantifier_mask` does."""
+    where those so far decide every tick, as `_quantifier_mask` does.
+    ``slot`` None: the body never reads the variable, so it answers once
+    at the ticks whose roster is not empty (a roster is true where it has
+    a server), and `each` holds at the others."""
+    if slot is None:
+        def constant(ctx, env):
+            staffed = _truth(ctx, "servers")
+            if not staffed:
+                return ctx.full if universal else 0
+            m = body(ctx, env)
+            return m | ctx.full ^ staffed if universal else m & staffed
+        return constant
+
     def quantifier(ctx, env):
         servers = ctx.domains.get("servers")
         if servers is None:
@@ -1205,7 +1235,11 @@ class _Compiler:
             return _window(bounds, body, universal, slot=k), None
         members = self.domain(dom, scope)
         inner, (k,), depth = self.bind(scope, depth, (e.var,))
+        outer, self.uses = self.uses, set()
         body, mask = self.expr(e.body, inner, depth)
+        if k not in self.uses:   # evaluated once, not once per member
+            k = None
+        self.uses |= outer
         fn = _quantifier(members, k, body, universal)
         roster = isinstance(dom, NamedDomain) and dom.name == "servers"
         if mask is None or roster and dom.at is not None:   # read at another tick

@@ -4,6 +4,8 @@
 state list: no lasso arithmetic, no horizon capping, just loops up to the
 end of the supplied states with three-valued tail handling.  It is kept
 separate from the production evaluator so the two can check each other.
+`naive_quorum` and `retest_consensus` are the checker kernel's quorum and
+consensus tests written as plain subset tests over acceptor names.
 """
 
 from __future__ import annotations
@@ -353,3 +355,20 @@ def random_expr(rng: random.Random, depth: int = 4, bound=None):
         return sent_binder(d)
 
     return build(depth)
+
+
+# ---------------------------------------------------------------------------
+# the checker kernel's quorum tests
+
+def naive_quorum(kernel, mask: int, b: int) -> bool:
+    """Whether the acceptors whose round-b bit (a*pool + b-1) is set in
+    ``mask`` include a quorum of the kernel's config."""
+    config = kernel.config
+    members = {name for a, name in enumerate(config.acceptors)
+               if mask >> (a * kernel.pool + b - 1) & 1}
+    return any(q <= members for q in config.quorums)
+
+
+def retest_consensus(kernel, vmask: int, nb: int) -> bool:
+    """The full re-test: some started round 1..nb holds a vote quorum."""
+    return any(naive_quorum(kernel, vmask, b) for b in range(1, nb + 1))

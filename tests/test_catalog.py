@@ -1,3 +1,9 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from livenesslab import catalog
@@ -202,6 +208,27 @@ def test_sure_monotone_in_the_bound():
             if v1.is_holds:
                 assert v2.is_holds
 
+
+def test_ids_hash_once_and_pickle_their_fields_only():
+    a = CatalogId(SERVER, "PQ-Dur", (3,))
+    b = CatalogId(SERVER, "PQ-Dur", (3,))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert hash(a) == hash((SERVER, "PQ-Dur", (3,)))
+    assert a != CatalogId(SERVER, "PQ-Dur", (4,))
+    assert {a: 1}[b] == 1
+    assert repr(a) == "CatalogId(kind='server', name='PQ-Dur', params=(3,))"
+    assert a.__reduce_ex__(4)[2] == {"kind": SERVER, "name": "PQ-Dur", "params": (3,)}
+    loaded = pickle.loads(pickle.dumps(a))
+    assert loaded == a and hash(loaded) == hash(a)
+    # a process with another string hash seed finds a loaded id in its dicts
+    code = ("import pickle, sys; from livenesslab.catalog import CatalogId; "
+            "cid = pickle.loads(bytes.fromhex(sys.argv[1])); "
+            "assert {CatalogId('server', 'PQ-Dur', (3,)): 1}[cid] == 1")
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = {**os.environ, "PYTHONHASHSEED": seed,
+           "PYTHONPATH": str(Path(catalog.__file__).resolve().parents[1])}
+    subprocess.run([sys.executable, "-c", code, pickle.dumps(a).hex()],
+                   env=env, check=True, timeout=60)
 
 def test_params_only_on_parameterized_properties():
     with pytest.raises(UnknownProperty):

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 
 import pytest
 
@@ -8,10 +9,12 @@ from livenesslab.checker import (
     BudgetExceeded, CheckRun, check_liveness_lasso,
     competing_rounds_config, explore, formula_oracle, safety_scan,
 )
-from livenesslab.machine import make_config
+from livenesslab.machine import SystemConfig, make_config
 from livenesslab.temporal import eval_expr
 from livenesslab.catalog import build
 from livenesslab.tracefile import trace_to_text
+
+from oracles import naive_quorum, retest_consensus
 
 
 def test_formula_oracle_values():
@@ -92,6 +95,58 @@ def test_distinct_states_monotone_on_the_grid():
         assert all(b >= a for a, b in zip(counts, counts[1:])), counts
 
 
+def _non_majority_config():
+    """Intersecting quorums that are not the majorities of four acceptors."""
+    return SystemConfig(
+        proposers=("p1", "p2"), acceptors=("a1", "a2", "a3", "a4"),
+        quorums=(frozenset({"a1", "a2"}), frozenset({"a1", "a3"}),
+                 frozenset({"a2", "a3", "a4"})))
+
+
+def test_kernel_quorum_is_the_naive_subset_test():
+    for cfg in (make_config(3, 4), competing_rounds_config(2, 3), _non_majority_config()):
+        for pool in (None, len(cfg.proposers) + 1):      # the scans' and explore's
+            k = checker._Kernel(cfg, pool)
+            for b in range(1, k.pool + 1):
+                others = sum(1 << (a * k.pool + c - 1) for a in range(k.j)
+                             for c in range(1, k.pool + 1) if c != b)
+                for pattern in range(1 << k.j):
+                    mask = sum(1 << (a * k.pool + b - 1)
+                               for a in range(k.j) if pattern >> a & 1)
+                    want = naive_quorum(k, mask, b)
+                    for noise in (0, others, 0):    # the last one is a hit
+                        assert k.quorum(mask | noise, b) == want, (cfg, b, pattern)
+            assert len(k.quorate) <= k.pool * (1 << k.j)
+
+
+class _RetestKernel(checker._Kernel):
+    """Answers explore's consensus test with the full re-test of every
+    started round, and every other quorum test naively."""
+    retests = 0
+
+    def quorum(self, mask, b):
+        if sys._getframe(1).f_code is explore.__code__:
+            _RetestKernel.retests += 1
+            return retest_consensus(self, mask, b)
+        return naive_quorum(self, mask, b)
+
+
+def test_explore_counts_alike_with_either_consensus_test(monkeypatch):
+    # explore tests only the newest round, and only on states it has not
+    # seen: no frontier state has a vote quorum, and only a vote changes
+    # the vote mask
+    def runs():
+        return [(r.stable_length, r.states_generated, r.distinct_states)
+                for i, j in ((2, 3), (2, 4), (1, 5), (2, 5))
+                for r in (explore(make_config(i, j), x) for x in (0, 1))]
+
+    fast = runs()
+    monkeypatch.setattr(checker, "_Kernel", _RetestKernel)
+    monkeypatch.setattr(_RetestKernel, "retests", 0)
+    assert runs() == fast
+    assert _RetestKernel.retests > sum(distinct for _len, _gen, distinct in fast) / 2
+
+
 def test_checkrun_validation():
     cfg = make_config(2, 3)
     with pytest.raises(ValueError):
@@ -107,6 +162,19 @@ def test_safety_scan_finds_no_violations():
     rep = safety_scan(competing_rounds_config(1, 3))
     assert rep.violations == ()
     assert (rep.distinct_states, rep.states_generated) == (2681, 6781)
+
+
+def test_safety_scan_reports_values_chosen_by_disjoint_quorums():
+    # every valid config has intersecting quorums, so only a forged one can
+    # show that the check fires; pinned before the checks moved to pop time
+    cfg = competing_rounds_config(2, 2)
+    object.__setattr__(cfg, "quorums", (frozenset({"a1"}), frozenset({"a2"})))
+    rep = safety_scan(cfg)
+    assert (rep.distinct_states, rep.states_generated) == (11602, 30450)
+    assert len(rep.violations) == 3840
+    assert set(rep.violations) == {"values ['v1', 'v2'] each gathered a vote quorum"}
+    assert hashlib.sha256(repr(rep.violations).encode()).hexdigest() == \
+        "54ef21b1119c87a8629017837f226353e6a2aa5a629b338a6f0bf7862ea5b37f"
 
 
 def test_lasso_search_fair_alwq_somelearn_counterexample():

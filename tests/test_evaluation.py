@@ -13,11 +13,11 @@ import pytest
 
 from livenesslab.catalog import CANONICAL_TEXT, CatalogId, build
 from livenesslab.hierarchy import corpus_config, edge_instances, make_corpus, random_lasso
-from livenesslab.scenarios import TraceBuilder
+from livenesslab.scenarios import TraceBuilder, raft_eachvote_lasso
 from livenesslab.temporal import (
     After, Alw, And, At, Atom, Const, DomainUnknown, During, Each, Evt,
-    Implies, Interval, Lasts, NamedDomain, Not, Or, Some, TLit, TNow, Trace,
-    TrueE, compile_expr, eval_expr, normalize_at, tplus,
+    FalseE, Implies, Interval, Lasts, NamedDomain, NfSet, Not, Or, ServersSet,
+    Some, TLit, TNow, Trace, TrueE, compile_expr, eval_expr, normalize_at, tplus,
 )
 
 from oracles import naive_eval, random_expr
@@ -297,6 +297,51 @@ def test_masks_match_the_closure_form_at_every_tick():
     for expr, trace, now, got in cases:
         assert _outcome(expr, trace, now) == got, (expr, trace.states, now)
 
+
+def nested_quantifiers(rng, n):
+    """``n`` nested value quantifiers over random domains, reusing and
+    shadowing three variable names, with an alw or evt between some levels,
+    around a body that reads all, some or none of the variables and may
+    hold a fault."""
+    chosen = [(f"x{rng.randrange(3)}",) + rng.choice(_SORTS)[1:] for _ in range(n)]
+    bound = {var: sort for var, _dom, sort in chosen}
+    kind = rng.randrange(3)
+    if kind == 1:
+        bound = dict(rng.sample(sorted(bound.items()), k=rng.randint(0, len(bound))))
+    if kind < 2:
+        expr = random_expr(rng, depth=1, bound=bound)
+    else:
+        expr = rng.choice([TrueE(), FalseE(), NfSet(ServersSet())])
+    if rng.random() < 0.15:
+        expr = _faulty(rng, expr)
+    for var, dom, _sort in reversed(chosen):
+        if rng.random() < 0.2:
+            expr = _alw_or_evt(rng, expr)
+        expr = (Each if rng.random() < 0.5 else Some)(var, NamedDomain(dom), expr)
+    return rng.choice([lambda e: e, Alw, Evt, lambda e: Not(Alw(e))])(expr)
+
+
+#: captured before a quantifier whose body never reads its variable was
+#: evaluated once instead of once per value
+NESTED_OUTCOMES_SHA256 = "a4a4767b27140c6e01b8b49baaf6fda73933f0f8715ddbf7a2134f21c0dfee32"
+
+
+def test_nested_quantifier_outcomes_golden_digest():
+    # the closures answer at tick 0 and at a random tick, the masks inside
+    # alw and evt
+    rng = random.Random(4242)
+    traces = make_corpus(30, 20240601) + [raft_eachvote_lasso()]
+    lines = []
+    for n in range(1, 7):
+        for _ in range(12):
+            expr = nested_quantifiers(rng, n)
+            for trace in traces:
+                for now in (0, rng.randrange(len(trace))):
+                    lines.append(_outcome(expr, trace, now))
+    assert sum(line.startswith(("holds", "violated")) for line in lines) > 3000
+    assert sum(not line.startswith(("holds", "violated")) for line in lines) > 100
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == NESTED_OUTCOMES_SHA256
 
 def test_parsed_and_built_expressions_share_a_compiled_program():
     from livenesslab.language import parse

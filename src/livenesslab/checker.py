@@ -95,7 +95,8 @@ def competing_rounds_config(n_proposers: int, n_acceptors: int,
 
 class _Kernel:
     """Single-decree Paxos over bitmasks, built once per config and shared
-    by the three searches, which differ only in which moves they offer.
+    by the three searches.  `explore` keeps its own successor function;
+    `safety_scan` and the lasso search run `moves`.
 
     Rounds are numbered 1..pool.  Acceptor a's promise (or vote) in round b
     is bit a*pool + b-1 of a promise (or vote) mask, and maxbal[a] is the
@@ -104,11 +105,16 @@ class _Kernel:
     `voters` names by raising maxbal[a] to b and setting bits[b][a] in the
     mask, with no intermediate tuple.  The owner tables follow the
     config's sorted rounds: a round names its owner, and a round naming no
-    proposer falls to proposer k mod |proposers|.  Round b is its owner's
-    current round while no later round of the same owner has started, that
-    is while the number of started rounds is below next_own[b].  The pool
-    defaults to the config's rounds; `explore` passes its own pool size and
-    never reads the owner tables.
+    proposer falls to proposer k mod |proposers|.  The pool defaults to the
+    config's rounds; `explore` passes its own pool size and never reads the
+    owner tables.
+
+    With ``owned``, a round's owner sends its accept only while the round is
+    its current one, that is while the number of started rounds is below
+    next_own[b], the next round of the same owner, and each proposer learns
+    on its own.  Without it next_own lies past the pool, so any round may
+    send its accept, and one anonymous learner learns.  Learner l having
+    learned the config's value n is bit l*|values| + n of the learned mask.
 
     A quorum test masks the round's acceptor bits out of a mask and looks
     the pattern up in one table.  Bits of different rounds never overlap, so
@@ -116,7 +122,8 @@ class _Kernel:
     use: at most pool * 2**j entries, far fewer in practice.
     """
 
-    def __init__(self, config: SystemConfig, pool: Optional[int] = None):
+    def __init__(self, config: SystemConfig, pool: Optional[int] = None,
+                 owned: bool = False):
         self.config = config
         self.rounds = tuple(sorted(config.rounds))
         self.j = j = len(config.acceptors)
@@ -130,6 +137,11 @@ class _Kernel:
             for bits in self.bits[1:]]
         self.round_bits = [0] + [sum(bits) for bits in self.bits[1:]]
         self.quorate = {}   # round-masked pattern -> holds a quorum
+        # per round b: the names of each acceptor's promise and vote moves
+        self.promise_names = [()] + [tuple(("promise", a, b) for a in range(j))
+                                     for b in range(1, pool + 1)]
+        self.vote_names = [()] + [tuple(("vote", a, b) for a in range(j))
+                                  for b in range(1, pool + 1)]
         proposers = config.proposers
         self.owner = [None] + [
             rnd[1] if isinstance(rnd, tuple) and rnd[1] in proposers
@@ -139,11 +151,19 @@ class _Kernel:
             config.values[proposers.index(p) % len(config.values)]
             for p in self.owner[1:]]
         n = len(self.rounds)
-        self.next_own = [None] * (n + 1)
-        upcoming = {}
-        for b in range(n, 0, -1):
-            self.next_own[b] = upcoming.get(self.owner[b], n + 1)
-            upcoming[self.owner[b]] = b
+        self.next_own = [pool + 1] * (n + 1)
+        if owned:
+            upcoming = {}
+            for b in range(n, 0, -1):
+                self.next_own[b] = upcoming.get(self.owner[b], n + 1)
+                upcoming[self.owner[b]] = b
+        self.learners = proposers if owned else (None,)
+        nv = len(config.values)
+        self.learn_bits = {v: tuple(1 << (k * nv + m) for k in range(len(self.learners)))
+                           for m, v in enumerate(config.values)}
+        # (rounds started, maxbal, promise mask, accepted value per round,
+        #  vote mask, learned mask)
+        self.initial = (0, (0,) * j, 0, (), 0, 0)
 
     def members(self, mask: int, b: int) -> list:
         """Acceptors whose bit for round b is set in the mask."""
@@ -179,15 +199,86 @@ class _Kernel:
                     break
         return accepted[prior - 1] if prior else self.owner_value[b]
 
+    def chosen(self, st) -> dict:
+        """Each value a same-round vote quorum chose, mapped to the first
+        round that chose it, in round order."""
+        nb, _maxbal, _pmask, accepted, vmask, _learned = st
+        out = {}
+        for b in range(1, nb + 1):
+            v = accepted[b - 1]
+            if v is not None and v not in out and self.quorum(vmask, b):
+                out[v] = b
+        return out
+
+    def moves(self, st, chosen) -> list:
+        """(name, successor) for every move from ``st``, whose `chosen`
+        values are given: an election of the next round, a promise, an
+        accept, a vote, and a learn of a chosen value by each learner that
+        has not learned it.  Rounds start in ascending order, and messages
+        are read from a pool, so delivery interleavings stay out of the
+        state."""
+        nb, maxbal, pmask, accepted, vmask, learned = st
+        out = []
+        if nb < self.pool:
+            out.append((("elect", nb + 1),
+                        (nb + 1, maxbal, pmask, accepted + (None,), vmask, learned)))
+        for b in range(1, nb + 1):
+            bits, names = self.bits[b], self.promise_names[b]
+            for a in self.promisers(maxbal, b):
+                nm = maxbal[:a] + (b,) + maxbal[a + 1:]
+                out.append((names[a], (nb, nm, pmask | bits[a], accepted, vmask, learned)))
+        for b in range(1, nb + 1):
+            if (accepted[b - 1] is None and nb < self.next_own[b]
+                    and self.quorum(pmask, b)):
+                value = self.accept_value(pmask, vmask, accepted, b)
+                acc = accepted[:b - 1] + (value,) + accepted[b:]
+                out.append((("accept", b), (nb, maxbal, pmask, acc, vmask, learned)))
+        for b in range(1, nb + 1):
+            if accepted[b - 1] is not None:
+                bits, names = self.bits[b], self.vote_names[b]
+                for a in self.voters(maxbal, vmask, b):
+                    nm = maxbal[:a] + (b,) + maxbal[a + 1:]
+                    out.append((names[a], (nb, nm, pmask, accepted, vmask | bits[a], learned)))
+        for v, b in chosen.items():
+            for learner, bit in zip(self.learners, self.learn_bits[v]):
+                if not learned & bit:
+                    out.append((("learn", learner, b, v),
+                                (nb, maxbal, pmask, accepted, vmask, learned | bit)))
+        return out
+
+    def owing_processes(self, moves):
+        """Who still owes a protocol step, split by role, read off the
+        state's moves.
+
+        A non-faulty process must eventually answer prepares and accepts
+        addressed to it, propose once a quorum has answered, and learn once
+        a quorum has voted: exactly the processes with a move other than an
+        election left.  Raw-link searches skip this entirely because lost
+        messages excuse everything message-dependent.
+        """
+        acceptors, proposers = set(), set()
+        for name, _nxt in moves:
+            if name[0] in ("promise", "vote"):
+                acceptors.add(self.config.acceptors[name[1]])
+            elif name[0] == "accept":
+                proposers.add(self.owner[name[1]])
+            elif name[0] == "learn":
+                proposers.add(name[1])
+        return acceptors, proposers
+
+
+#: ticks past the closed form at which `explore` stops with BudgetExceeded
+_TICK_SLACK = 8
+
 
 def explore(config: SystemConfig, stable_start: int,
-            max_states: int = 5_000_000, tick_slack: int = 8) -> CheckRun:
+            max_states: int = 5_000_000) -> CheckRun:
     """Breadth-first exploration of every behavior under the stable-start
     discipline; the stable duration length is the latest tick at which the
     first same-round quorum of votes can appear.
 
     The sought quantity is a maximum over finite-depth behaviors, so the
-    walk is capped at the closed form plus `tick_slack` ticks; hitting the
+    walk is capped at the closed form plus `_TICK_SLACK` ticks; hitting the
     cap means the calibration is broken and raises rather than truncating
     silently.
     """
@@ -198,7 +289,7 @@ def explore(config: SystemConfig, stable_start: int,
     x = stable_start
     pool = i + 1
     k = _Kernel(config, pool)
-    tick_cap = formula_oracle(i, k.j, x) + tick_slack
+    tick_cap = formula_oracle(i, k.j, x) + _TICK_SLACK
 
     # state: (tick, rounds_started, maxbal per acceptor, promise bitmask,
     #         accept bitmask, vote bitmask); round b's accept is bit b-1
@@ -282,51 +373,19 @@ def safety_scan(config: SystemConfig, max_states: int = 2_000_000) -> SafetyRepo
     """Exhaustively explore the protocol state space (election timing
     unconstrained, promises/accepts/votes under plain Paxos rules) and check
     on every state that at most one value gathers a same-round vote quorum
-    per slot and that learned values are quorum-backed."""
+    per slot and that learned values are quorum-backed.
+
+    The second check is implied by the learn rule: a value is learned only
+    once a quorum has voted for it, and votes and accepted values are never
+    withdrawn, so it cannot fire.  It stays as a guard until a machine-level
+    referee checks the kernel's moves."""
     k = _Kernel(config)
-    value_index = {v: n for n, v in enumerate(config.values)}
-
-    # state: (rounds started, maxbal per acceptor, promise mask,
-    #         accepted value per round, vote mask, learned value mask)
-    init = (0, (0,) * k.j, 0, (), 0, 0)
-
-    def successors(st, chosen):
-        nb, maxbal, pmask, accepted, vmask, learned = st
-        out = []
-        if nb < k.pool:
-            out.append((nb + 1, maxbal, pmask, accepted + (None,), vmask, learned))
-        for b in range(1, nb + 1):
-            bits = k.bits[b]
-            for a in k.promisers(maxbal, b):
-                nm = maxbal[:a] + (b,) + maxbal[a + 1:]
-                out.append((nb, nm, pmask | bits[a], accepted, vmask, learned))
-        for b in range(1, nb + 1):
-            if accepted[b - 1] is None and k.quorum(pmask, b):
-                value = k.accept_value(pmask, vmask, accepted, b)
-                acc = accepted[:b - 1] + (value,) + accepted[b:]
-                out.append((nb, maxbal, pmask, acc, vmask, learned))
-        for b in range(1, nb + 1):
-            if accepted[b - 1] is not None:
-                bits = k.bits[b]
-                for a in k.voters(maxbal, vmask, b):
-                    nm = maxbal[:a] + (b,) + maxbal[a + 1:]
-                    out.append((nb, nm, pmask, accepted, vmask | bits[a], learned))
-        for v in chosen:
-            bit = 1 << value_index[v]
-            if not learned & bit:
-                out.append((nb, maxbal, pmask, accepted, vmask, learned | bit))
-        return out
-
-    def chosen_values(st):
-        nb, _maxbal, _pmask, accepted, vmask, _learned = st
-        return {accepted[b - 1] for b in range(1, nb + 1)
-                if accepted[b - 1] is not None and k.quorum(vmask, b)}
 
     def check(st, chosen) -> Optional[str]:
         if len(chosen) > 1:
             return f"values {sorted(chosen)} each gathered a vote quorum"
         learned = st[5]
-        for v, n in value_index.items():
+        for n, v in enumerate(config.values):
             if learned >> n & 1 and v not in chosen:
                 return f"learned value {v!r} lacks a vote quorum"
         return None
@@ -335,17 +394,17 @@ def safety_scan(config: SystemConfig, max_states: int = 2_000_000) -> SafetyRepo
     # learn moves read.  BFS pops states in the order it found them and the
     # initial state has no votes, so the violations come out as they would
     # if each state were checked when found.
-    seen = {init}
-    frontier = deque([init])
+    seen = {k.initial}
+    frontier = deque([k.initial])
     generated = 0
     violations = []
     while frontier:
         st = frontier.popleft()
-        chosen = chosen_values(st)
+        chosen = k.chosen(st)
         bad = check(st, chosen)
         if bad:
             violations.append(bad)
-        for s in successors(st, chosen):
+        for _name, s in k.moves(st, chosen):
             generated += 1
             if s in seen:
                 continue
@@ -371,82 +430,9 @@ class LassoCheckResult:
         return self.outcome == "counterexample"
 
 
-class _Skeleton(_Kernel):
-    """Protocol-step skeleton used by the lasso search.
-
-    Tracks rounds, promises, accepts, votes and learns with messages read
-    from a pool, leaving delivery interleavings out of the state; rounds
-    start in ascending order.  Only a round's owner sends its accept, and
-    only while the round is the owner's current one; every proposer learns
-    on its own.  Each path through the skeleton is realized as a concrete
-    machine run when a closure is attempted.
-    """
-
-    def initial(self):
-        # (rounds started, maxbal, promise mask, accepted values,
-        #  vote mask, learned (proposer, value) set)
-        return (0, (0,) * self.j, 0, (), 0, frozenset())
-
-    def moves(self, st):
-        nb, maxbal, pmask, accepted, vmask, learned = st
-        out = []
-        if nb < self.pool:
-            out.append((("elect", nb + 1),
-                        (nb + 1, maxbal, pmask, accepted + (None,), vmask, learned)))
-        for b in range(1, nb + 1):
-            bits = self.bits[b]
-            for a in self.promisers(maxbal, b):
-                nm = maxbal[:a] + (b,) + maxbal[a + 1:]
-                out.append((("promise", a, b),
-                            (nb, nm, pmask | bits[a], accepted, vmask, learned)))
-        for b in range(1, nb + 1):
-            if (accepted[b - 1] is None and nb < self.next_own[b]
-                    and self.quorum(pmask, b)):
-                value = self.accept_value(pmask, vmask, accepted, b)
-                acc = accepted[:b - 1] + (value,) + accepted[b:]
-                out.append((("accept", b),
-                            (nb, maxbal, pmask, acc, vmask, learned)))
-        for b in range(1, nb + 1):
-            if accepted[b - 1] is not None:
-                bits = self.bits[b]
-                for a in self.voters(maxbal, vmask, b):
-                    nm = maxbal[:a] + (b,) + maxbal[a + 1:]
-                    out.append((("vote", a, b),
-                                (nb, nm, pmask, accepted, vmask | bits[a], learned)))
-        for b in range(1, nb + 1):
-            if accepted[b - 1] is None or not self.quorum(vmask, b):
-                continue
-            for p in self.config.proposers:
-                if (p, accepted[b - 1]) not in learned:
-                    out.append((("learn", p, b, accepted[b - 1]),
-                                (nb, maxbal, pmask, accepted, vmask,
-                                 learned | {(p, accepted[b - 1])})))
-        return out
-
-    def owing_processes(self, moves):
-        """Who still owes a protocol step, split by role, read off the
-        state's moves.
-
-        A non-faulty process must eventually answer prepares and accepts
-        addressed to it, propose once a quorum has answered, and learn once
-        a quorum has voted: exactly the processes with a move other than an
-        election left.  Raw-link searches skip this entirely because lost
-        messages excuse everything message-dependent.
-        """
-        acceptors, proposers = set(), set()
-        for name, _nxt in moves:
-            if name[0] in ("promise", "vote"):
-                acceptors.add(self.config.acceptors[name[1]])
-            elif name[0] == "accept":
-                proposers.add(self.owner[name[1]])
-            elif name[0] == "learn":
-                proposers.add(name[1])
-        return acceptors, proposers
-
-
-def _realize(config: SystemConfig, skeleton: _Skeleton, moves, drop_rest: bool,
+def _realize(config: SystemConfig, kernel: _Kernel, moves, drop_rest: bool,
              crash_set) -> Optional[list]:
-    """Replay a skeleton path through the machine and close it out.
+    """Replay a path of kernel moves through the machine and close it out.
 
     Promise and vote steps carry their own receipt tick; an accept first
     receives the promise replies it relies on, a learn first receives the
@@ -462,30 +448,30 @@ def _realize(config: SystemConfig, skeleton: _Skeleton, moves, drop_rest: bool,
                               and act.msg.receiver == receiver
                               and sender in (None, act.msg.sender))
 
-    shadow = skeleton.initial()
+    shadow = kernel.initial
     for name, nxt in moves:
         if name[0] == "elect":
-            drv.take(mc.StartLeaderElection(skeleton.owner[name[1]]))
+            drv.take(mc.StartLeaderElection(kernel.owner[name[1]]))
         elif name[0] == "promise":
             _op, a, b = name
-            if not receive("1a", mc.AcceptorPromise, skeleton.rounds[b - 1],
+            if not receive("1a", mc.AcceptorPromise, kernel.rounds[b - 1],
                            config.acceptors[a]):
                 return None
         elif name[0] == "accept":
             b = name[1]
-            p = skeleton.owner[b]
-            rnd = skeleton.rounds[b - 1]
-            for a in skeleton.members(shadow[2], b):
+            p = kernel.owner[b]
+            rnd = kernel.rounds[b - 1]
+            for a in kernel.members(shadow[2], b):
                 receive("1b", mc.DeliverMessage, rnd, p, config.acceptors[a])
             drv.take(mc.ProposerSendAccept(p))
         elif name[0] == "vote":
             _op, a, b = name
-            if not receive("2a", mc.AcceptorVote, skeleton.rounds[b - 1],
+            if not receive("2a", mc.AcceptorVote, kernel.rounds[b - 1],
                            config.acceptors[a]):
                 return None
         elif name[0] == "learn":
             _op, p, b, value = name
-            rnd = skeleton.rounds[b - 1]
+            rnd = kernel.rounds[b - 1]
             for a_name in config.acceptors:
                 receive("2b", mc.DeliverMessage, rnd, p, a_name)
             drv.take(mc.Learn(p, rnd, value))
@@ -509,31 +495,29 @@ def check_liveness_lasso(config: SystemConfig, link: CatalogId,
 
     An assumption admits a trace when the property holds on it; Raw admits
     every trace (it promises nothing about delivery).  Candidates close a
-    skeleton path with a stuttering cycle once nothing more is owed: under
-    a delivering link this means every prepare/accept on the table was
-    answered and at most the proposers that still owe proposals or learns
-    crash; under Raw the leftovers are simply dropped.  Every candidate is
-    re-checked by evaluating all three properties on the realized trace.
-    Exhausting the skeleton space without a candidate reports Holds; an
+    path of kernel moves (a skeleton path) with a stuttering cycle once
+    nothing more is owed: under a delivering link this means every
+    prepare/accept on the table was answered and at most the proposers that
+    still owe proposals or learns crash; under Raw the leftovers are simply
+    dropped.  Every candidate is re-checked by evaluating all three
+    properties on the realized trace.
+    Exhausting the kernel's states without a candidate reports Holds; an
     exploration cut by the state budget reports Undetermined.
     """
     link_expr = build(link) if link.name != "Raw" else None
     server_expr = build(server)
     assertion_expr = build(assertion)
     raw_link = link.name == "Raw"
-    skel = _Skeleton(config)
+    k = _Kernel(config, owned=True)
 
-    def violation_plausible(state) -> bool:
+    def violation_plausible(state, chosen) -> bool:
         """Cheap necessary condition for the assertion to fail on the
-        realized stutter-lasso, read off the skeleton facts."""
-        nb, _maxbal, _pmask, accepted, vmask, learned = state
+        realized stutter-lasso, read off the kernel state."""
         name = assertion.name
         if name == "Each-Vote":
-            return not any(
-                accepted[b - 1] is not None and skel.quorum(vmask, b)
-                for b in range(1, nb + 1))
+            return not chosen
         if name == "Some-Learn":
-            return not learned
+            return not state[5]
         return True
 
     def crashes_admissible(state, crash) -> bool:
@@ -549,7 +533,7 @@ def check_liveness_lasso(config: SystemConfig, link: CatalogId,
         if not any(q <= alive for q in config.quorums):
             return False
         if name in ("P-Alw-Q", "PQ-Alw", "PQ-Dur", "PQ-Extra-Dur"):
-            claimant = skel.owner[state[0]] if state[0] else None
+            claimant = k.owner[state[0]] if state[0] else None
             if claimant in crash:
                 return False
         return True
@@ -557,7 +541,7 @@ def check_liveness_lasso(config: SystemConfig, link: CatalogId,
     def try_closure(path, state, moves) -> Optional[Trace]:
         if state[0] == 0:
             return None  # the system never even tried; not an adversarial run
-        acceptors_owing, proposers_owing = skel.owing_processes(moves)
+        acceptors_owing, proposers_owing = k.owing_processes(moves)
         if raw_link:
             crash = set()
         else:
@@ -566,7 +550,7 @@ def check_liveness_lasso(config: SystemConfig, link: CatalogId,
             crash = proposers_owing
         if not crashes_admissible(state, crash):
             return None
-        states = _realize(config, skel, path, raw_link, crash)
+        states = _realize(config, k, path, raw_link, crash)
         if states is None:
             return None
         trace = mc.trace_of(states, loop_start=len(states) - 1)
@@ -578,9 +562,8 @@ def check_liveness_lasso(config: SystemConfig, link: CatalogId,
             return None
         return trace
 
-    init = skel.initial()
-    seen = {init}
-    frontier = deque([(init, None)])  # (state, linked path cell)
+    seen = {k.initial}
+    frontier = deque([(k.initial, None)])  # (state, linked path cell)
     explored = 0
 
     def unlink(cell) -> tuple:
@@ -594,8 +577,9 @@ def check_liveness_lasso(config: SystemConfig, link: CatalogId,
     while frontier:
         state, cell = frontier.popleft()
         explored += 1
-        moves = skel.moves(state)
-        if violation_plausible(state):
+        chosen = k.chosen(state)
+        moves = k.moves(state, chosen)
+        if violation_plausible(state, chosen):
             found = try_closure(unlink(cell), state, moves)
             if found is not None:
                 return LassoCheckResult("counterexample", found, explored)

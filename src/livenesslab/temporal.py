@@ -784,10 +784,25 @@ def _quantifier(members, slot, body, universal):
     return quantifier
 
 
+#: the slot of a tick quantifier whose body never reads its tick
+_UNREAD = -1
+
+
 def _window(bounds, body, universal=True, slot=None, body_mask=None):
     """A loop over the ticks in ``bounds``: moving ``now`` (alw, evt,
     during, lasts, after) or binding ``slot`` (tick quantifiers).  On a
-    lasso, ``body_mask`` answers the whole loop from the body's mask."""
+    lasso, ``body_mask`` answers the whole loop from the body's mask.
+    ``slot`` `_UNREAD`: the body has one value at every tick, so it is
+    evaluated once, if there is a tick, as in `_quantifier`."""
+    if slot == _UNREAD:
+        def constant(ctx, env, now):
+            positions, tail = ctx.positions(*bounds(env, now))
+            v = body(ctx, env, now) if positions else universal
+            if v is not universal:
+                return v
+            return None if tail else universal
+        return constant
+
     def window(ctx, env, now):
         lo, hi = bounds(env, now)
         if body_mask is not None and ctx.loop is not None:
@@ -1230,16 +1245,16 @@ class _Compiler:
         dom = e.domain
         if isinstance(dom, TickDomain):
             bounds = self.interval(dom.interval, scope)
-            inner, (k,), depth = self.bind(scope, depth, (e.var,))
-            body, _mask = self.expr(e.body, inner, depth)
-            return _window(bounds, body, universal, slot=k), None
-        members = self.domain(dom, scope)
+        else:
+            members = self.domain(dom, scope)
         inner, (k,), depth = self.bind(scope, depth, (e.var,))
         outer, self.uses = self.uses, set()
         body, mask = self.expr(e.body, inner, depth)
-        if k not in self.uses:   # evaluated once, not once per member
+        if k not in self.uses:   # evaluated once, not once per member or tick
             k = None
         self.uses |= outer
+        if isinstance(dom, TickDomain):
+            return _window(bounds, body, universal, _UNREAD if k is None else k), None
         fn = _quantifier(members, k, body, universal)
         roster = isinstance(dom, NamedDomain) and dom.name == "servers"
         if mask is None or roster and dom.at is not None:   # read at another tick

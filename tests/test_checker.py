@@ -1,5 +1,6 @@
 import hashlib
 import sys
+from collections import deque
 
 import pytest
 
@@ -175,6 +176,38 @@ def test_safety_scan_reports_values_chosen_by_disjoint_quorums():
     assert set(rep.violations) == {"values ['v1', 'v2'] each gathered a vote quorum"}
     assert hashlib.sha256(repr(rep.violations).encode()).hexdigest() == \
         "54ef21b1119c87a8629017837f226353e6a2aa5a629b338a6f0bf7862ea5b37f"
+
+
+def _kernel_bfs(kernel):
+    """Every state `_Kernel.moves` reaches, and the number of moves taken."""
+    seen, frontier, generated = {kernel.initial}, deque([kernel.initial]), 0
+    while frontier:
+        st = frontier.popleft()
+        for _name, s in kernel.moves(st, kernel.chosen(st)):
+            generated += 1
+            if s not in seen:
+                seen.add(s)
+                frontier.append(s)
+    return seen, generated
+
+
+def test_owned_moves_reach_the_scan_states_once_learners_fold():
+    # the owner guard and the per-proposer learners change which moves a
+    # state offers, not which states exist
+    for cfg in (competing_rounds_config(1, 3), competing_rounds_config(2, 2)):
+        scan, generated = _kernel_bfs(checker._Kernel(cfg))
+        rep = safety_scan(cfg)
+        assert (len(scan), generated) == (rep.distinct_states, rep.states_generated)
+        owned, _generated = _kernel_bfs(checker._Kernel(cfg, owned=True))
+        nv = len(cfg.values)
+
+        def fold(st):
+            learned, values = st[5], 0
+            while learned:
+                values |= learned & ((1 << nv) - 1)
+                learned >>= nv
+            return st[:5] + (values,)
+        assert {fold(st) for st in owned} == scan
 
 
 def test_lasso_search_fair_alwq_somelearn_counterexample():

@@ -17,7 +17,8 @@ from livenesslab.scenarios import TraceBuilder, raft_eachvote_lasso
 from livenesslab.temporal import (
     After, Alw, And, At, Atom, Const, DomainUnknown, During, Each, Evt,
     FalseE, Implies, Interval, Lasts, NamedDomain, NfSet, Not, Or, ServersSet,
-    Some, TLit, TNow, Trace, TrueE, compile_expr, eval_expr, normalize_at, tplus,
+    Some, TickDomain, TLit, TNow, Trace, TrueE, TVar, compile_expr, eval_expr,
+    normalize_at, tplus,
 )
 
 from oracles import naive_eval, random_expr
@@ -342,6 +343,89 @@ def test_nested_quantifier_outcomes_golden_digest():
     assert sum(not line.startswith(("holds", "violated")) for line in lines) > 100
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == NESTED_OUTCOMES_SHA256
+
+
+def _tick_interval(rng, ticks):
+    """[lo, hi] or [lo, inf), lo from now, a literal or one of ``ticks``."""
+    base = rng.choice([TNow(), TLit(rng.randint(0, 3))] + [TVar(t) for t in ticks])
+    lo = tplus(base, rng.randint(0, 2))
+    if rng.random() < 0.3:
+        return Interval(lo, None, rng.random() < 0.8, False)
+    return Interval(lo, tplus(lo, rng.randint(0, 3)), rng.random() < 0.8, rng.random() < 0.8)
+
+
+def nested_tick_quantifiers(rng, n):
+    """``n`` nested tick and value quantifiers, reusing three names of
+    each kind, around a body that reads all, some or none of the variables
+    (a tick through `servers(t1) = servers(t2)` or an `at`) and may hold
+    a fault.  Returns the expression and whether it holds a fault."""
+    levels, ticks = [], []
+    for _ in range(n):
+        if rng.random() < 0.6:
+            var = f"t{rng.randrange(3)}"
+            levels.append((var, TickDomain(_tick_interval(rng, ticks)), "tick"))
+            ticks.append(var)
+        else:
+            _letter, dom, sort = rng.choice(_SORTS)
+            levels.append((f"x{rng.randrange(3)}", NamedDomain(dom), sort))
+    bound = {var: sort for var, _dom, sort in levels}
+    kind = rng.randrange(3)
+    if kind == 1:
+        bound = dict(rng.sample(sorted(bound.items()), k=rng.randint(0, len(bound))))
+    if kind < 2:
+        expr = random_expr(rng, depth=1, bound=bound)
+        read = [v for v, sort in bound.items() if sort == "tick"]
+        if read and rng.random() < 0.5:
+            expr = At(expr, tplus(TVar(rng.choice(read)), rng.randint(0, 1)))
+    else:
+        expr = rng.choice([TrueE(), FalseE(), NfSet(ServersSet())])
+    faulty = rng.random() < 0.15
+    if faulty:
+        expr = _faulty(rng, expr)
+    for var, dom, _sort in reversed(levels):
+        if rng.random() < 0.2:
+            expr = _alw_or_evt(rng, expr)
+        expr = (Each if rng.random() < 0.5 else Some)(var, dom, expr)
+    return rng.choice([lambda e: e, Alw, Evt, lambda e: Not(Alw(e))])(expr), faulty
+
+
+#: captured before a tick quantifier whose body never reads its tick was
+#: evaluated once instead of once per position
+NESTED_TICK_OUTCOMES_SHA256 = "657e865b5a4a8ffeb850150361a0aef8851788a63f75e7dd616706bd3993102a"
+
+
+def test_nested_tick_quantifier_outcomes_golden_digest():
+    # corpus lassos and their loop-free prefixes.  Fault-free cases up to
+    # three levels deep are checked against the naive oracle, exactly on the
+    # prefixes; four levels are too slow for it
+    rng = random.Random(6060)
+    lassos = make_corpus(10, 20240607) + [raft_eachvote_lasso()]
+    lines, decided = [], 0
+    for n in range(1, 5):
+        for _ in range(20):
+            expr, faulty = nested_tick_quantifiers(rng, n)
+            for lasso in lassos:
+                prefix = Trace(lasso.states, lasso.config)
+                for trace in (lasso, prefix):
+                    got = _outcome(expr, trace)
+                    lines.append(got)
+                    if faulty or n > 3:
+                        continue
+                    if trace is prefix:
+                        ref = naive_eval(expr, list(prefix.states), prefix.config)
+                        assert got == _STATUS[ref], (expr, prefix.states)
+                        continue
+                    unrolled = list(lasso.unrolled(extra_cycles=1).states)
+                    ref = naive_eval(expr, unrolled, lasso.config)
+                    if ref is not None:
+                        decided += 1
+                        assert got == _STATUS[ref], (expr, lasso.states)
+    assert decided > 120, decided
+    assert sum(line.startswith(("holds", "violated")) for line in lines) > 900
+    assert sum(line == "undetermined" for line in lines) > 400
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == NESTED_TICK_OUTCOMES_SHA256
+
 
 def test_parsed_and_built_expressions_share_a_compiled_program():
     from livenesslab.language import parse

@@ -207,6 +207,32 @@ def test_quantifiers_whose_body_ignores_the_variable_answer_once():
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_tick_quantifiers_whose_body_ignores_the_tick_answer_once(monkeypatch):
+    # a loop over every position made about ten times more body calls per
+    # level, so the count, not the wall time, shows the fix
+    from livenesslab import temporal
+
+    lasso = raft_eachvote_lasso()
+    index_at, calls = temporal._TraceIndex.at, []
+
+    def counted(self, name, t):
+        calls.append(t)
+        assert len(calls) <= 8, "the body is evaluated once per tick"
+        return index_at(self, name, t)
+
+    monkeypatch.setattr(temporal._TraceIndex, "at", counted)
+    for trace in (lasso, Trace(lasso.states, lasso.config)):
+        for quantifier in ("each", "some"):
+            for interval in ("[0,inf)", "[.+1,.+3]", "[4,2]"):
+                def text(n):
+                    return f"{quantifier} tK in {interval} has " * n + "servers nf"
+                want = eval_expr(parse(text(1)), trace).status
+                calls.clear()
+                assert eval_expr(parse(text(8)), trace).status == want, \
+                    (quantifier, interval, trace.loop_start)
+                assert len(calls) <= 1
+
+
 def test_quantifiers_over_an_empty_roster_read_or_not():
     # a body that ignores the variable answers once; one that reads it but
     # has the same value takes the per-member loop, closures and masks alike

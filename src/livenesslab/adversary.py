@@ -152,19 +152,19 @@ class Driver:
             a, (mc.AcceptorPromise, mc.AcceptorVote, mc.DeliverMessage))
             and a.msg not in skip]
 
-    def deliver_all(self, rng: random.Random, skip=frozenset()) -> None:
+    def deliver_all(self, rng: random.Random) -> None:
         """Receive every in-flight message (and whatever their replies
-        queue), in a seed-chosen order, except the skipped copies."""
+        queue), in a seed-chosen order."""
         while True:
-            acts = self.receipt_actions(skip)
+            acts = self.receipt_actions()
             if not acts:
                 return
             self.take(rng.choice(acts))
 
-    def deliver_promptly(self, skip=frozenset()) -> None:
+    def deliver_promptly(self) -> None:
         """Oldest-first receipt keeps every delivery delay at its minimum."""
         while True:
-            acts = self.receipt_actions(skip)
+            acts = self.receipt_actions()
             if not acts:
                 return
             self.take(acts[0])
@@ -340,9 +340,11 @@ def _plan(target: AssumptionTarget, config: SystemConfig,
 
 def simulate(target: AssumptionTarget, config: SystemConfig, seed: int,
              max_attempts: int = 32) -> tuple:
-    """(schedule, trace, verdicts) for the first plan whose replayed trace
-    gives each demanded property its requested verdict; raise CannotRealize
-    after a bounded search.  The verdicts follow ``target.demands()``."""
+    """(schedule, trace, verdicts) for the first plan whose own run gives
+    each demanded property its requested verdict; raise CannotRealize after
+    a bounded search.  The verdicts follow ``target.demands()``.  The trace
+    is the run the Driver stepped, whose every action was checked against
+    the enabled set, so replaying the schedule's ranks rebuilds it."""
     rng = random.Random(seed)
     failure = None
     for _ in range(max_attempts):
@@ -351,16 +353,16 @@ def simulate(target: AssumptionTarget, config: SystemConfig, seed: int,
         except (CannotRealize, mc.MachineError) as exc:
             failure = str(exc)
             continue
-        schedule = Schedule(config=config, steps=tuple(drv.ranks),
-                            fault_plan=tuple(drv.fault_plan),
-                            loop_start=loop_start, seed=seed, target=target)
         try:
-            trace = run_schedule(schedule)
-        except AdversaryError as exc:  # e.g. an inconsistent lasso
+            trace = mc.trace_of(drv.states, loop_start=loop_start)
+        except TraceInconsistent as exc:
             failure = str(exc)
             continue
         verdicts = validate(trace, target)
         if all(_matches(v, d.mode) for v, d in zip(verdicts, target.demands())):
+            schedule = Schedule(config=config, steps=tuple(drv.ranks),
+                                fault_plan=tuple(drv.fault_plan),
+                                loop_start=loop_start, seed=seed, target=target)
             return schedule, trace, verdicts
         failure = ", ".join(
             f"{d.prop.label()}: wanted {d.mode}, got {v}"

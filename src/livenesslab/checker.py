@@ -79,8 +79,7 @@ class CheckRun:
             raise ValueError("distinct states exceed generated states")
 
 
-def competing_rounds_config(n_proposers: int, n_acceptors: int,
-                            n_clients: int = 1) -> SystemConfig:
+def competing_rounds_config(n_proposers: int, n_acceptors: int) -> SystemConfig:
     """Config whose round pool matches the stable-duration model: one
     competing round per proposer plus one re-election."""
     proposers = tuple(f"p{k + 1}" for k in range(n_proposers))
@@ -88,7 +87,7 @@ def competing_rounds_config(n_proposers: int, n_acceptors: int,
     return SystemConfig(
         proposers=proposers,
         acceptors=tuple(f"a{k + 1}" for k in range(n_acceptors)),
-        clients=tuple(f"c{k + 1}" for k in range(n_clients)),
+        clients=("c1",),
         rounds=tuple(sorted(rounds)),
     )
 

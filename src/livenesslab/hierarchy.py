@@ -56,8 +56,8 @@ def corpus_config() -> SystemConfig:
     )
 
 
-def random_lasso(rng: random.Random, config: Optional[SystemConfig] = None) -> Trace:
-    cfg = config or corpus_config()
+def random_lasso(rng: random.Random) -> Trace:
+    cfg = corpus_config()
     servers = list(cfg.servers)
     everyone = set(cfg.servers) | set(cfg.clients)
     b = TraceBuilder(cfg)
@@ -177,7 +177,10 @@ def make_corpus(size: int, seed: int) -> list:
 # ---------------------------------------------------------------------------
 # edge checking
 
-def edge_instances(sample_params=((0, 2), (2, 5))):
+_SAMPLE_PARAMS = ((0, 2), (2, 5))
+
+
+def edge_instances():
     """Solid edges with concrete parameters filled in.
 
     Sure and PQ-Dur get sampled durations; PQ-Extra-Dur(D1,D2) implies
@@ -188,19 +191,19 @@ def edge_instances(sample_params=((0, 2), (2, 5))):
     out = []
     for stronger, weaker in solid:
         if stronger.name == "Sure":
-            for (d1, d2) in sample_params:
+            for (d1, d2) in _SAMPLE_PARAMS:
                 out.append((CatalogId(LINK, "Sure", (d1,)), weaker))
                 out.append((CatalogId(LINK, "Sure", (d1,)),
                             CatalogId(LINK, "Sure", (d2,))))
         elif stronger.name == "PQ-Extra-Dur":
-            for (d1, d2) in sample_params:
+            for (d1, d2) in _SAMPLE_PARAMS:
                 out.append((CatalogId(SERVER, "PQ-Extra-Dur", (d1, d2)),
                             CatalogId(SERVER, "PQ-Dur", (d2,))))
         elif weaker.name == "PQ-Dur":
-            for (_d1, d2) in sample_params:
+            for (_d1, d2) in _SAMPLE_PARAMS:
                 out.append((stronger, CatalogId(SERVER, "PQ-Dur", (d2,))))
         elif weaker.name == "PQ-Extra-Dur":
-            for (d1, d2) in sample_params:
+            for (d1, d2) in _SAMPLE_PARAMS:
                 out.append((stronger, CatalogId(SERVER, "PQ-Extra-Dur", (d1, d2))))
         else:
             out.append((stronger, weaker))
@@ -233,10 +236,10 @@ def check_trace_edges(trace: Trace, edges) -> list:
     return bad
 
 
-def check_edges(corpus, edges=None, jobs: int = 1) -> list:
+def check_edges(corpus, jobs: int = 1) -> list:
     """One EdgeReport per solid edge instance over the whole corpus, in up
     to ``jobs`` worker processes (at most one per CPU and per trace)."""
-    edges = list(edges or edge_instances())
+    edges = edge_instances()
     per_edge = {k: [] for k in range(len(edges))}
     jobs = min(jobs, os.cpu_count() or 1, len(corpus))
     if jobs > 1:
@@ -311,24 +314,23 @@ def _rotating_quorum(with_primary: bool) -> Trace:
     return b.build(loop_start=loop)
 
 
-def _facts_witness(votes_q=(), learners=(), executors=(), responded=False) -> Trace:
+_QUORUM = ("a1", "a2")
+
+
+def _facts_witness(learners, executors=()) -> Trace:
+    """A quorum votes v1, then ``learners`` learn and ``executors`` execute it."""
     cfg = _witness_config()
     b = TraceBuilder(cfg)
     b.primary("p1").commit()
-    for s in votes_q:
+    for s in _QUORUM:
         b.vote(s, 1, 1, "v1")
     b.commit()
     for s in learners:
         b.learn(s, 1, "v1")
     for s in executors:
         b.execute(s, 1, "v1")
-    if responded:
-        b.request("c1", "v1").respond("c1", "v1")
     b.commit()
     return b.build(loop_start=2)
-
-
-_QUORUM = ("a1", "a2")
 
 
 def _witness_builders():
@@ -339,13 +341,13 @@ def _witness_builders():
         ("P-Alw-Q", "PQ-Alw"): lambda params: _rotating_quorum(True),
         ("Each-Vote", "Some-Learn"): lambda params: raft_eachvote_lasso(),
         ("Some-Learn", "Each-Learn"):
-            lambda params: _facts_witness(_QUORUM, learners=("a1",)),
+            lambda params: _facts_witness(("a1",)),
         ("Some-Learn", "Some-Exec"):
-            lambda params: _facts_witness(_QUORUM, learners=("a1",)),
+            lambda params: _facts_witness(("a1",)),
         ("Each-Learn", "Each-Exec"):
-            lambda params: _facts_witness(_QUORUM, learners=_QUORUM),
+            lambda params: _facts_witness(_QUORUM),
         ("Some-Exec", "Each-Exec"):
-            lambda params: _facts_witness(_QUORUM, learners=("a1",), executors=("a1",)),
+            lambda params: _facts_witness(("a1",), executors=("a1",)),
     }
 
 
@@ -437,8 +439,8 @@ def incomparability_report():
         (CatalogId(SERVER, "PQ-Extra-Dur", (2, 2)), CatalogId(SERVER, "PQ-Alw"),
          _extradur_not_pqalw(), _pqalw_not_extradur(2, 2)),
         (CatalogId(ASSERTION_SINGLE, "Some-Exec"), CatalogId(ASSERTION_SINGLE, "Each-Learn"),
-         _facts_witness(_QUORUM, learners=("a1",), executors=("a1",)),
-         _facts_witness(_QUORUM, learners=_QUORUM)),
+         _facts_witness(("a1",), executors=("a1",)),
+         _facts_witness(_QUORUM)),
     ]
     for a, b, w1, w2 in pairs:
         for cid, trace, want in ((a, w1, HOLDS), (b, w1, VIOLATED),

@@ -98,18 +98,12 @@ class SystemConfig:
         return tuple(dict.fromkeys(self.proposers + self.acceptors))
 
 
-def make_config(n_proposers: int, n_acceptors: int, n_clients: int = 1,
-                round_bound: int = 2, slot_bound: int = 1) -> SystemConfig:
+def make_config(n_proposers: int, n_acceptors: int) -> SystemConfig:
+    """One client and the default two rounds per proposer."""
     return SystemConfig(
         proposers=tuple(f"p{k + 1}" for k in range(n_proposers)),
         acceptors=tuple(f"a{k + 1}" for k in range(n_acceptors)),
-        clients=tuple(f"c{k + 1}" for k in range(n_clients)),
-        rounds=tuple(
-            (c, f"p{k + 1}")
-            for c in range(1, round_bound + 1)
-            for k in range(n_proposers)
-        ),
-        slot_bound=slot_bound,
+        clients=("c1",),
     )
 
 

@@ -23,10 +23,10 @@ class TraceBuilder:
     snapshot shares every history that did not change since the last one.
     """
 
-    def __init__(self, config: SystemConfig, roster=None, clients_up=True):
+    def __init__(self, config: SystemConfig):
         self.config = config
-        self.roster = set(roster if roster is not None else config.servers)
-        self.nf = set(self.roster) | (set(config.clients) if clients_up else set())
+        self.roster = set(config.servers)
+        self.nf = self.roster | set(config.clients)
         self.primaries: set = set()
         self.sent = self.received = self.voted = self.learned = frozenset()
         self.executed = self.requested = self.responded = frozenset()

@@ -160,8 +160,8 @@ def closed(lo: TimeTerm, hi: TimeTerm) -> Interval:
     return Interval(lo, hi, True, True)
 
 
-def unbounded(lo: TimeTerm, lo_closed: bool = True) -> Interval:
-    return Interval(lo, None, lo_closed, False)
+def unbounded(lo: TimeTerm) -> Interval:
+    return Interval(lo, None, True, False)
 
 
 # ---------------------------------------------------------------------------
@@ -1081,10 +1081,8 @@ class _Compiler:
         self.nslots = 0
         self.uses: set = set()
 
-    def program(self, expr: PropertyExpr, bound=()) -> _Program:
-        scope = {name: k for k, name in enumerate(bound)}
-        self.nslots = len(scope)
-        fn, _mask = self.expr(expr, scope, len(scope))
+    def program(self, expr: PropertyExpr) -> _Program:
+        fn, _mask = self.expr(expr, {}, 0)
         return _Program(fn, self.nslots)
 
     def expr(self, e, scope: dict, depth: int):
@@ -1406,12 +1404,9 @@ def compile_expr(expr: PropertyExpr) -> _Program:
     return program
 
 
-def check_scoped(expr: PropertyExpr, bound: frozenset = frozenset()) -> None:
+def check_scoped(expr: PropertyExpr) -> None:
     """Raise UnboundVariable if any variable occurrence is free."""
-    if bound:
-        _Compiler().program(expr, sorted(bound))
-    else:
-        compile_expr(expr)
+    compile_expr(expr)
 
 
 def eval_expr(expr: PropertyExpr, trace: Trace, now: Tick = 0) -> Verdict:

@@ -4,7 +4,7 @@ import pytest
 
 from livenesslab.adversary import (
     SATISFY, VIOLATE, AssumptionTarget, CannotRealize, Demand, Schedule,
-    alwq_adversary, generate, raw_blackout, run_schedule, validate,
+    alwq_adversary, generate, raw_blackout, run_schedule, simulate, validate,
 )
 from livenesslab.catalog import (
     ASSERTION_NAMES, LINK, SERVER, CatalogId, assertion_single,
@@ -12,7 +12,7 @@ from livenesslab.catalog import (
 )
 from livenesslab.machine import make_config
 from livenesslab.temporal import eval_expr
-from livenesslab.tracefile import read_schedule, write_schedule
+from livenesslab.tracefile import read_schedule, trace_to_text, write_schedule
 
 
 def _link(name, *params):
@@ -162,7 +162,8 @@ def _demand_matrix():
 
 def test_generator_soundness_two_hundred_pairs():
     """Every (target, config, seed) pair either validates in the requested
-    modes or is rejected; nothing unvalidated is ever returned."""
+    modes or is rejected; nothing unvalidated is ever returned, and replaying
+    the returned schedule rebuilds the returned trace byte for byte."""
     cfg = make_config(2, 3)
     links, servers = _demand_matrix()
     pairs = 0
@@ -171,8 +172,11 @@ def test_generator_soundness_two_hundred_pairs():
             seeds = (0, 1, 2) if (k + m) % 2 else (0, 1)
             for seed in seeds:
                 target = AssumptionTarget(Demand(lp, lm), Demand(sp, sm))
-                schedule = generate(target, cfg, seed=1000 * seed + k * 17 + m)
-                verdicts = validate(run_schedule(schedule), target)
+                schedule, trace, verdicts = simulate(
+                    target, cfg, seed=1000 * seed + k * 17 + m)
+                replayed = run_schedule(schedule)
+                assert trace_to_text(replayed) == trace_to_text(trace)
+                assert validate(replayed, target) == verdicts
                 for v, d in zip(verdicts, target.demands()):
                     assert v.is_holds if d.mode == SATISFY else v.is_violated
                 pairs += 1

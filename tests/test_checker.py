@@ -178,6 +178,31 @@ def test_safety_scan_reports_values_chosen_by_disjoint_quorums():
         "54ef21b1119c87a8629017837f226353e6a2aa5a629b338a6f0bf7862ea5b37f"
 
 
+def test_safety_scan_learns_two_chosen_values_in_first_choosing_round_order():
+    # the forged disjoint-quorum config is the only one where two values are
+    # chosen, so only it shows the order in which `chosen` feeds the learns
+    cfg = competing_rounds_config(2, 2)
+    object.__setattr__(cfg, "quorums", (frozenset({"a1"}), frozenset({"a2"})))
+    k = checker._Kernel(cfg)
+    seen, frontier, names, both = {k.initial}, deque([k.initial]), [], 0
+    while frontier:
+        st = frontier.popleft()
+        chosen = k.chosen(st)
+        moves = k.moves(st, chosen)
+        if len(chosen) > 1:
+            rounds = [name[2] for name, _s in moves if name[0] == "learn"]
+            assert rounds == sorted(rounds)
+            both += len(rounds) > 1
+        for name, s in moves:
+            names.append(name)
+            if s not in seen:
+                seen.add(s)
+                frontier.append(s)
+    assert (len(seen), len(names), both) == (11602, 30450, 960)
+    assert hashlib.sha256(repr(names).encode()).hexdigest() == \
+        "2abd39c19d9c373e0b5fd5330e81749c061bc04dba95eb68015b0f1d565afa84"
+
+
 def _kernel_bfs(kernel):
     """Every state `_Kernel.moves` reaches, and the number of moves taken."""
     seen, frontier, generated = {kernel.initial}, deque([kernel.initial]), 0

@@ -836,12 +836,16 @@ _UNSEEN = object()
 # the bits of ticks n .. size-1 repeat those of the cycle
 
 def _membership(ctx, name: str, key) -> int:
-    """Where ``key`` is in the column ``name``, cached per trace."""
+    """Where ``key`` is in the column ``name``, cached per trace; a tick
+    that holds the same object as the tick before keeps its bit."""
     m = ctx.masks.get((name, key))
     if m is None:
         m = 0
+        last, found = _UNSEEN, False
         for t, members in enumerate(ctx.cols[name]):
-            if key in members:
+            if members is not last:
+                last, found = members, key in members
+            if found:
                 m |= 1 << t
         ctx.masks[(name, key)] = m
     return m

@@ -1,9 +1,16 @@
 """Line-delimited trace and schedule files.
 
 One JSON record per line: a header carrying the system config and the
-optional loop start, then one record per tick with every set rendered as a
-sorted array.  Writing is canonical (sorted keys, fixed separators), so
-write -> read -> write is byte-identical.
+optional loop start, then one record per tick with every set rendered as an
+array sorted by its elements' written text.  Writing is canonical (sorted
+keys, fixed separators), so write -> read -> write is byte-identical.
+
+Each set and each element is encoded and decoded once per trace, because
+consecutive ticks share unchanged sets and a grown set keeps its elements.
+``write_trace`` keeps each set's and element's text by object identity and
+``read_trace`` keeps each list's and element's decoded form by its
+``repr``.  Neither memo is keyed by value: ``1``, ``1.0`` and ``true`` are
+equal as set elements and as lists, but are written differently.
 """
 
 from __future__ import annotations
@@ -25,6 +32,8 @@ _ARITY = {
     "learned": 3, "executed": 3, "requested": 2, "responded": 3,
 }
 _SET_FIELDS = tuple(_ARITY)
+#: a state record's keys in ``sort_keys`` order
+_STATE_KEYS = tuple(sorted(_SET_FIELDS + ("kind", "tick")))
 
 
 class TraceFormatError(ValueError):
@@ -88,14 +97,10 @@ def _int_or_null(line: int, header: dict, key: str):
 
 
 def _sorted_set(value):
-    """``json``'s hook for sets: an array in ``_sort_key`` order."""
+    """``json``'s hook for sets: an array ordered by its elements' text."""
     if isinstance(value, frozenset):
-        return sorted(value, key=_sort_key)
+        return sorted(value, key=_dump)
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
-def _sort_key(value):
-    return json.dumps(value, sort_keys=True, default=_sorted_set)
 
 
 def _frozen(value):
@@ -104,8 +109,8 @@ def _frozen(value):
     return value
 
 
-def _dump(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"), default=_sorted_set)
+#: one value as canonical JSON text: sorted keys, no spaces, sets as arrays
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_sorted_set).encode
 
 
 def config_record(config: SystemConfig) -> dict:
@@ -113,7 +118,7 @@ def config_record(config: SystemConfig) -> dict:
         "proposers": list(config.proposers),
         "acceptors": list(config.acceptors),
         "clients": list(config.clients),
-        "quorums": sorted((sorted(q) for q in config.quorums), key=_sort_key),
+        "quorums": sorted((sorted(q) for q in config.quorums), key=_dump),
         "values": list(config.values),
         "rounds": list(config.rounds),
         "slot_bound": config.slot_bound,
@@ -181,9 +186,22 @@ def write_trace(trace: Trace, fp: IO[str]) -> None:
     header = {"kind": "header", "config": config_record(trace.config),
               "loop_start": trace.loop_start}
     fp.write(_dump(header) + "\n")
+    memo = {}           # id of a set or element -> (it, its text); holding it keeps the id
+
+    def text(value) -> str:
+        hit = memo.get(id(value))
+        if hit is None:
+            if isinstance(value, frozenset):
+                hit = value, "[" + ",".join(sorted(map(text, value))) + "]"
+            else:
+                hit = value, _dump(value)
+            memo[id(value)] = hit
+        return hit[1]
+
     for t, st in enumerate(trace.states):
-        sets = {f: getattr(st, f) for f in _SET_FIELDS}
-        fp.write(_dump({"kind": "state", "tick": t, **sets}) + "\n")
+        fields = {f: text(getattr(st, f)) for f in _SET_FIELDS}
+        fields["kind"], fields["tick"] = '"state"', str(t)
+        fp.write("{" + ",".join(f'"{k}":{fields[k]}' for k in _STATE_KEYS) + "}\n")
 
 
 def read_trace(fp: IO[str]) -> Trace:
@@ -191,24 +209,40 @@ def read_trace(fp: IO[str]) -> Trace:
     line, header = records[0]
     config = _header_config(line, header)
     states = []
+    last = dict.fromkeys(_SET_FIELDS, (None, None))   # field -> (repr of its list, its set)
+    elements = {}       # repr of an element -> the element as tuples
+
+    def element(item):
+        key = repr(item)
+        got = elements.get(key)
+        if got is None:
+            got = elements[key] = _frozen(item)
+        return got
+
     for n, rec in records[1:]:
         try:
             values = [rec[f] for f in _SET_FIELDS]
         except KeyError as exc:
             raise TraceFormatError(n, f"state record lacks {exc.args[0]!r}") from None
+        keys = []
         for f, v in zip(_SET_FIELDS, values):
             if not isinstance(v, list):
                 raise TraceFormatError(n, f"{f} must be a list, got {v!r}")
+            keys.append(repr(v))
+            if keys[-1] == last[f][0]:
+                continue                # checked at the tick before
             arity = _ARITY[f]
             want = f"lists of {arity}" if arity else "strings"
             for item in v:
                 if not (type(item) is list and len(item) == arity if arity else type(item) is str):
                     raise TraceFormatError(n, f"{f} elements must be {want}, got {item!r}")
         try:
-            states.append(ObservationState(**{
-                f: frozenset(map(_frozen, v)) for f, v in zip(_SET_FIELDS, values)}))
+            for f, v, key in zip(_SET_FIELDS, values, keys):
+                if key != last[f][0]:
+                    last[f] = key, frozenset(map(element, v))
         except TypeError as exc:
             raise TraceFormatError(n, f"bad state record: {exc}") from None
+        states.append(ObservationState(**{f: last[f][1] for f in _SET_FIELDS}))
     loop_start = _int_or_null(line, header, "loop_start")
     try:
         return Trace(states, config, loop_start=loop_start)

@@ -10,8 +10,8 @@ from livenesslab.adversary import alwq_adversary, raw_blackout
 from livenesslab.hierarchy import random_lasso
 from livenesslab.machine import make_config
 from livenesslab.scenarios import paxos_complex_livelock_lasso, raft_eachvote_lasso
-from livenesslab.temporal import _HISTORY_FIELDS
-from livenesslab.tracefile import TraceFormatError, trace_from_text, trace_to_text
+from livenesslab.temporal import _HISTORY_FIELDS, ObservationState, Trace
+from livenesslab.tracefile import TraceFormatError, _dump, trace_from_text, trace_to_text
 
 
 def roundtrip(trace):
@@ -41,6 +41,39 @@ def test_random_lassos_roundtrip():
     rng = random.Random(88)
     for _ in range(30):
         roundtrip(random_lasso(rng))
+
+
+def test_look_alike_elements_keep_their_own_text():
+    # 1, true and 1.0 are equal as set elements but are written differently
+    looks = (1, True, 1.0)
+    trace = Trace([ObservationState(sent=frozenset({("p1", x, "a1")})) for x in looks],
+                  make_config(2, 3))
+    roundtrip(trace)
+    for line, word in zip(trace_to_text(trace).splitlines()[1:], ("1", "true", "1.0")):
+        assert f'"sent":[["p1",{word},"a1"]]' in line
+
+
+def _spaced_key(value):
+    """The order sets were once written in: each element's spaced JSON text."""
+    def sorted_set(s):
+        if isinstance(s, frozenset):
+            return sorted(s, key=_spaced_key)
+        raise TypeError(type(s).__name__)
+    return json.dumps(value, sort_keys=True, default=sorted_set)
+
+
+_ELEMENTS = st.recursive(
+    st.text(alphabet=',"\\[]: a1', max_size=4) | st.integers(-20, 20) | st.booleans()
+    | st.floats(allow_nan=False, allow_infinity=False, width=16),
+    lambda inner: st.lists(inner, max_size=3).map(tuple) | st.frozensets(inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.frozensets(_ELEMENTS, max_size=8))
+def test_compact_text_orders_sets_as_the_spaced_text_did(members):
+    by_compact = [_spaced_key(x) for x in sorted(members, key=_dump)]
+    assert by_compact == sorted(map(_spaced_key, members))
 
 
 def test_header_first_line_carries_config_and_loop():
@@ -90,6 +123,10 @@ def test_malformed_trace_files_name_the_line():
         lines.insert(1, "")           # blank lines are skipped but counted
         _drop_field(lines, 3, "sent")
 
+    def unhashable_sent_then_short_vote(lines):
+        _set_field(lines, 4, "sent", [["s1", {"m": 1}, "s2"]])
+        _set_field(lines, 4, "voted", [["s1", 1, 1]])
+
     cases = [
         (lambda ls: _drop_field(ls, 2, "sent"), 3, "state record lacks 'sent'"),
         (blank_then_drop, 4, "state record lacks 'sent'"),
@@ -109,6 +146,10 @@ def test_malformed_trace_files_name_the_line():
         (lambda ls: _set_field(ls, 0, "loop_start", 40), 1, "loop_start out of range"),
         (lambda ls: _set_field(ls, 4, "voted", [["s1", 1, 1]]), 5,
          "voted elements must be lists of 4, got ['s1', 1, 1]"),
+        (unhashable_sent_then_short_vote, 5,           # every shape check before hashing
+         "voted elements must be lists of 4, got ['s1', 1, 1]"),
+        (lambda ls: _set_field(ls, 4, "sent", [["s1", {"m": 1}, "s2"]]), 5,
+         "bad state record: unhashable type: 'dict'"),
         (lambda ls: _set_field(ls, 2, "received", [["a", "b"]]), 3,
          "received elements must be lists of 3, got ['a', 'b']"),
         (lambda ls: _set_field(ls, 2, "sent", ["abc"]), 3,
@@ -302,9 +343,11 @@ def test_simulated_files_are_pinned_and_share_unchanged_histories():
             continue
         buf = io.StringIO()
         write_schedule(schedule, buf)
-        digest.update(trace_to_text(trace).encode() + buf.getvalue().encode())
-        for before, after in zip(trace.states, trace.states[1:]):
-            for field in ("primaries",) + _HISTORY_FIELDS:
-                a, b = getattr(before, field), getattr(after, field)
-                assert a is b or a != b, field
+        text = trace_to_text(trace)
+        digest.update(text.encode() + buf.getvalue().encode())
+        for states in (trace.states, trace_from_text(text).states):
+            for before, after in zip(states, states[1:]):
+                for field in ("primaries",) + _HISTORY_FIELDS:
+                    a, b = getattr(before, field), getattr(after, field)
+                    assert a is b or a != b, field
     assert digest.hexdigest() == SIMULATED_FILES_SHA256

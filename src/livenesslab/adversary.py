@@ -171,7 +171,7 @@ class Driver:
 
     def drop_all_pending(self) -> None:
         while self.state.pending:
-            self.drop(sorted(self.state.pending)[0])
+            self.drop(min(self.state.pending))
 
     def primary(self) -> Optional[str]:
         prims = sorted(self.state.obs.primaries)
@@ -240,7 +240,7 @@ def _plan(target: AssumptionTarget, config: SystemConfig,
             if link.prop.name == "Raw":
                 drv.drop_all_pending()
             else:
-                drv.drop(sorted(drv.state.pending)[0])
+                drv.drop(min(drv.state.pending))
             drv.recover(config.proposers[0])
         _dur_violation_prefix(drv, config.proposers[0], budget, rng)
         loop_start = len(drv.ranks) + 1

@@ -9,9 +9,12 @@ its prepare) is a single action.
 A state holds only the observation that the properties read and the
 messages in flight.  Every protocol fact (the rounds started, each
 proposer's current round, each acceptor's ballot and vote, the rounds whose
-accept was sent) is read off the observation's histories, which is exact
-because ``apply_action`` checks every step against the enabled set.  A
-state reads its facts and its enabled actions at most once, on first use.
+accept was sent) follows from the observation's histories, which is exact
+because ``apply_action`` checks every step against the enabled set.
+``apply_action`` derives a new state's facts from its parent's facts plus
+the history entries the step adds; a state built any other way derives
+them from empty histories on first use, through the same function.  A state
+builds its enabled tuple at most once, directly in its documented order.
 
 State values are immutable; ``apply_action`` returns a new state, so
 parallel exploration is safe as long as each worker owns its frontier
@@ -21,8 +24,9 @@ entries.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from .temporal import ObservationState, Trace
@@ -97,6 +101,22 @@ class SystemConfig:
     def servers(self) -> tuple:
         return tuple(dict.fromkeys(self.proposers + self.acceptors))
 
+    # cached per config; equality and hashing read the fields only
+    @cached_property
+    def _walk(self) -> "_Walk":
+        """The machine's per-config tables; see ``_Walk``."""
+        return _Walk(
+            proposers=tuple(
+                (p, StartLeaderElection(p), ProposerSendPrepare(p),
+                 ProposerSendAccept(p))
+                for p in sorted(self.proposers)),
+            servers=tuple((s, Crash(s), Recover(s)) for s in sorted(self.servers)),
+            acceptors=frozenset(self.acceptors),
+            rank={rnd: k for k, rnd in enumerate(self.rounds)},
+            facts=_Facts(set(), {}, _unused_rounds(self.rounds), set(), {}, {},
+                         {}, {}, {}),
+        )
+
 
 def make_config(n_proposers: int, n_acceptors: int) -> SystemConfig:
     """One client and the default two rounds per proposer."""
@@ -121,6 +141,27 @@ class Msg:
     def wire(self) -> tuple:
         """Message content as it appears in sent/received histories."""
         return (self.kind, self.round) + self.payload
+
+    # the actions that handle this copy, each built once per Msg object
+    @cached_property
+    def drop(self) -> "DropMessage":
+        return DropMessage(self)
+
+    @cached_property
+    def deliver(self) -> "DeliverMessage":
+        return DeliverMessage(self)
+
+    @cached_property
+    def promise(self) -> "AcceptorPromise":
+        return AcceptorPromise(self.receiver, self)
+
+    @cached_property
+    def vote(self) -> "AcceptorVote":
+        return AcceptorVote(self.receiver, self)
+
+
+_msg_order = attrgetter("kind", "round", "sender", "receiver", "payload")
+_by_acceptor = attrgetter("acceptor")
 
 
 @dataclass(frozen=True, order=True)
@@ -186,14 +227,6 @@ Action = (StartLeaderElection, ProposerSendPrepare, AcceptorPromise,
           ProposerSendAccept, AcceptorVote, Learn, DeliverMessage,
           DropMessage, Crash, Recover)
 
-_ACTION_ORDER = {cls: k for k, cls in enumerate(Action)}
-
-
-def _action_key(a):
-    return (_ACTION_ORDER[type(a)],) + tuple(
-        getattr(a, f) for f in a.__dataclass_fields__
-    )
-
 
 # ---------------------------------------------------------------------------
 # machine state
@@ -210,6 +243,106 @@ class _Facts(NamedTuple):
     reports: dict     # proposer -> {(round, value): voters} received
 
 
+class _Walk(NamedTuple):
+    """What every enabled tuple and every facts derivation of one config
+    shares, built once per config."""
+
+    proposers: tuple  # (p, its start, prepare and accept actions), sorted by p
+    servers: tuple    # (s, Crash(s), Recover(s)), sorted by s
+    acceptors: frozenset
+    rank: dict        # round -> its position in config.rounds
+    facts: _Facts     # the facts of empty histories
+
+
+def _unused_rounds(rounds: tuple) -> dict:
+    unused: dict = {}
+    for rnd in rounds:
+        unused.setdefault(rnd[1], []).append(rnd)
+    return unused
+
+
+def _with(table: dict, base, key, item) -> dict:
+    """``table`` with ``item`` in the set at ``key``: ``table`` itself if the
+    item is there already, else a copy of ``table`` while it is still
+    ``base``.  The set is always copied, so no set of ``base`` changes."""
+    old = table.get(key)
+    if old is not None and item in old:
+        return table
+    if table is base:
+        table = dict(table)
+    table[key] = {item} if old is None else old | {item}
+    return table
+
+
+def _facts_after(facts: _Facts, config: SystemConfig, new_sent, new_received,
+                 new_voted) -> _Facts:
+    """``facts`` with the given history entries added, in any order.
+
+    Exact because only enabled actions are applied: a proposer starts its
+    rounds in config order, and an acceptor's ballot and vote rounds never
+    decrease.  Copies only the containers that the entries change, so
+    ``facts`` stays valid for the state it belongs to."""
+    (started, current, unused, accepted, maxbal, vote,
+     prepared, promises, reports) = facts
+    rank = config._walk.rank
+
+    for (snd, wire, _rcv) in new_sent:
+        kind, rnd = wire[0], wire[1]
+        if kind == "1a":
+            if rnd in started:
+                continue
+            if started is facts.started:
+                started, current, unused = set(started), dict(current), dict(unused)
+            started.add(rnd)
+            if rnd in rank:
+                p = rnd[1]
+                if p not in current or rank[current[p]] < rank[rnd]:
+                    current[p] = rnd
+                rest = [r for r in unused.get(p, ()) if r != rnd]
+                if rest:
+                    unused[p] = rest
+                else:
+                    unused.pop(p, None)
+        elif kind == "2a":
+            if rnd not in accepted:
+                if accepted is facts.accepted:
+                    accepted = set(accepted)
+                accepted.add(rnd)
+        elif kind == "1b":
+            if snd not in maxbal or rnd > maxbal[snd]:
+                if maxbal is facts.maxbal:
+                    maxbal = dict(maxbal)
+                maxbal[snd] = rnd
+
+    for (a, rnd, _slot, val) in new_voted:
+        if a not in maxbal or rnd > maxbal[a]:
+            if maxbal is facts.maxbal:
+                maxbal = dict(maxbal)
+            maxbal[a] = rnd
+        if a not in vote or rnd > vote[a][0]:
+            if vote is facts.vote:
+                vote = dict(vote)
+            vote[a] = (rnd, val)
+
+    for (rcv, wire, snd) in new_received:
+        kind = wire[0]
+        if kind == "1a":
+            prepared = _with(prepared, facts.prepared, wire[1], rcv)
+        elif kind == "1b":
+            promises = _with(promises, facts.promises, (rcv, wire[1]),
+                             (snd, wire[2:]))
+        elif kind == "2b":
+            inner = reports.get(rcv)
+            grown = _with(inner or {}, facts.reports.get(rcv), wire[1:3], snd)
+            if grown is not inner:
+                if reports is facts.reports:
+                    reports = dict(reports)
+                reports[rcv] = grown
+
+    return _Facts(started, current, unused, accepted, maxbal, vote,
+                  prepared, promises, reports)
+
+
 @dataclass(frozen=True)
 class MachineState:
     config: SystemConfig
@@ -219,105 +352,82 @@ class MachineState:
     def prop_round_of(self, p: str) -> Optional[tuple]:
         return self.facts.current.get(p)
 
-    # cached per state; equality and hashing read the three fields only
+    # cached per state; equality and hashing read the three fields only.
+    # apply_action seeds ``facts`` from the parent's.
     @cached_property
     def facts(self) -> _Facts:
-        """The protocol facts, read off the histories, each set once.
-
-        Exact because only enabled actions are applied: a proposer starts
-        its rounds in config order, and an acceptor's ballot and vote rounds
-        never decrease."""
+        """The protocol facts of the histories, derived from empty ones."""
         obs = self.obs
-        started, accepted, maxbal, vote = set(), set(), {}, {}
-        prepared, promises, reports = {}, {}, {}
-
-        def raise_bal(a, rnd):
-            if a not in maxbal or rnd > maxbal[a]:
-                maxbal[a] = rnd
-
-        for (snd, wire, _rcv) in obs.sent:
-            if wire[0] == "1a":
-                started.add(wire[1])
-            elif wire[0] == "2a":
-                accepted.add(wire[1])
-            elif wire[0] == "1b":
-                raise_bal(snd, wire[1])
-        for (a, rnd, _slot, val) in obs.voted:
-            raise_bal(a, rnd)
-            if a not in vote or rnd > vote[a][0]:
-                vote[a] = (rnd, val)
-        for (rcv, wire, snd) in obs.received:
-            if wire[0] == "1a":
-                prepared.setdefault(wire[1], set()).add(rcv)
-            elif wire[0] == "1b":
-                promises.setdefault((rcv, wire[1]), set()).add((snd, wire[2:]))
-            elif wire[0] == "2b":
-                reports.setdefault(rcv, {}).setdefault(wire[1:3], set()).add(snd)
-        current, unused = {}, {}
-        for rnd in self.config.rounds:
-            if rnd in started:
-                current[rnd[1]] = rnd
-            else:
-                unused.setdefault(rnd[1], []).append(rnd)
-        return _Facts(started, current, unused, accepted, maxbal, vote,
-                      prepared, promises, reports)
+        return _facts_after(self.config._walk.facts, self.config,
+                            obs.sent, obs.received, obs.voted)
 
     @cached_property
     def actions(self) -> tuple:
         """The enabled actions; see ``enabled``."""
         cfg = self.config
+        walk = cfg._walk
         nf = self.obs.nf_procs
         f = self.facts
-        out = []
+        starts, prepares, promises, accepts, votes, learns = [], [], [], [], [], []
+        delivers, drops, crashes, recovers = [], [], [], []
+        flying: dict = {}             # round -> receivers of its pending prepares
 
-        for p in cfg.proposers:
-            if p not in nf:
+        for m in sorted(self.pending, key=_msg_order):
+            drops.append(m.drop)
+            kind, rcv = m.kind, m.receiver
+            if kind == "1a":
+                flying.setdefault(m.round, set()).add(rcv)
+            if rcv not in nf:
                 continue
-            if f.unused.get(p):
-                out.append(StartLeaderElection(p))
-            rnd = f.current.get(p)
-            if rnd is not None:
-                received_by = f.prepared.get(rnd, set()) | {
-                    m.receiver for m in self.pending
-                    if m.kind == "1a" and m.round == rnd
-                }
-                if any(a not in received_by for a in cfg.acceptors):
-                    out.append(ProposerSendPrepare(p))
-                promisers = {a for (a, _prior) in f.promises.get((p, rnd), ())}
-                if (any(q <= promisers for q in cfg.quorums)
-                        and rnd not in f.accepted):
-                    out.append(ProposerSendAccept(p))
-            for (rnd, val), voters in f.reports.get(p, {}).items():
-                if any(q <= voters for q in cfg.quorums) and not any(
-                    e[0] == p and e[2] == val for e in self.obs.learned
-                ):
-                    out.append(Learn(p, rnd, val))
-
-        for m in self.pending:
-            out.append(DropMessage(m))
-            if m.receiver not in nf:
-                continue
-            bal = f.maxbal.get(m.receiver)
-            if m.kind == "1a" and m.receiver in cfg.acceptors:
+            if kind == "1a" and rcv in walk.acceptors:
+                bal = f.maxbal.get(rcv)
                 if bal is None or m.round > bal:
-                    out.append(AcceptorPromise(m.receiver, m))
-                else:
-                    out.append(DeliverMessage(m))
-            elif m.kind == "2a" and m.receiver in cfg.acceptors:
-                vote = f.vote.get(m.receiver)
+                    promises.append(m.promise)
+                    continue
+            elif kind == "2a" and rcv in walk.acceptors:
+                bal = f.maxbal.get(rcv)
+                vote = f.vote.get(rcv)
                 fresh = bal is None or m.round >= bal
                 revote = vote is not None and vote[0] == m.round
                 if fresh and not revote:
-                    out.append(AcceptorVote(m.receiver, m))
-                else:
-                    out.append(DeliverMessage(m))
+                    votes.append(m.vote)
+                    continue
+            delivers.append(m.deliver)
+        promises.sort(key=_by_acceptor)
+        votes.sort(key=_by_acceptor)
+
+        for p, start, prepare, accept in walk.proposers:
+            if p not in nf:
+                continue
+            if f.unused.get(p):
+                starts.append(start)
+            rnd = f.current.get(p)
+            if rnd is not None:
+                prepared = f.prepared.get(rnd, ())
+                sending = flying.get(rnd, ())
+                if any(a not in prepared and a not in sending
+                       for a in cfg.acceptors):
+                    prepares.append(prepare)
+                if rnd not in f.accepted:
+                    promisers = {a for (a, _prior) in f.promises.get((p, rnd), ())}
+                    if any(q <= promisers for q in cfg.quorums):
+                        accepts.append(accept)
+            reports = f.reports.get(p)
+            if reports:
+                for (rnd, val) in sorted(reports):
+                    if any(q <= reports[rnd, val] for q in cfg.quorums) and not any(
+                        e[0] == p and e[2] == val for e in self.obs.learned
+                    ):
+                        learns.append(Learn(p, rnd, val))
+
+        for s, crash, recover in walk.servers:
+            if s in nf:
+                crashes.append(crash)
             else:
-                out.append(DeliverMessage(m))
+                recovers.append(recover)
 
-        for s in cfg.servers:
-            out.append(Crash(s) if s in nf else Recover(s))
-
-        return tuple(sorted(out, key=_action_key))
+        return tuple(starts + prepares + promises + accepts + votes + learns
+                     + delivers + drops + crashes + recovers)
 
 
 def init(config: SystemConfig) -> MachineState:
@@ -331,8 +441,8 @@ def init(config: SystemConfig) -> MachineState:
 
 
 def enabled(state: MachineState) -> tuple:
-    """Deterministic, order-stable enumeration of the enabled actions,
-    computed once per state."""
+    """The enabled actions, computed once per state, ordered by their type's
+    position in ``Action`` and then by their field values."""
     return state.actions
 
 
@@ -371,41 +481,44 @@ def apply_action(state: MachineState, action) -> MachineState:
 
     cfg = state.config
     obs = state.obs
-    pending = set(state.pending)
+    f = state.facts
     sent, received, voted, learned = set(), set(), set(), set()   # what the action adds
+    arriving = set()              # messages the action puts in flight
+    gone = None                   # the message it takes out of flight
     primaries = obs.primaries
     nf = obs.nf_procs
 
     def send(msg: Msg):
-        sent.add((msg.sender, msg.wire(), msg.receiver))
-        receipt = (msg.receiver, msg.wire(), msg.sender)
-        if receipt not in obs.received and receipt not in received:
-            pending.add(msg)
+        wire = msg.wire()
+        sent.add((msg.sender, wire, msg.receiver))
+        receipt = (msg.receiver, wire, msg.sender)
+        if (receipt not in obs.received and receipt not in received
+                and msg not in state.pending):
+            arriving.add(msg)
 
     def receive(msg: Msg):
-        pending.discard(msg)
+        nonlocal gone
+        gone = msg
         received.add((msg.receiver, msg.wire(), msg.sender))
 
     if isinstance(action, StartLeaderElection):
         p = action.proposer
-        f = state.facts
         rnd = f.unused[p][0]
         for a in cfg.acceptors:
             send(Msg("1a", rnd, p, a))
         primaries = frozenset({max(f.started | {rnd})[1]})
     elif isinstance(action, ProposerSendPrepare):
         p = action.proposer
-        rnd = state.facts.current[p]
+        rnd = f.current[p]
         for a in cfg.acceptors:
             send(Msg("1a", rnd, p, a))
     elif isinstance(action, AcceptorPromise):
         a, m = action.acceptor, action.msg
         receive(m)
-        prior = state.facts.vote.get(a, ())
+        prior = f.vote.get(a, ())
         send(Msg("1b", m.round, a, m.sender, prior))
     elif isinstance(action, ProposerSendAccept):
         p = action.proposer
-        f = state.facts
         rnd = f.current[p]
         priors = [prior for (_a, prior) in f.promises.get((p, rnd), ()) if prior]
         if priors:
@@ -426,7 +539,7 @@ def apply_action(state: MachineState, action) -> MachineState:
     elif isinstance(action, DeliverMessage):
         receive(action.msg)
     elif isinstance(action, DropMessage):
-        pending.discard(action.msg)
+        gone = action.msg
     elif isinstance(action, Crash):
         nf = nf - {action.process}
     elif isinstance(action, Recover):
@@ -434,17 +547,29 @@ def apply_action(state: MachineState, action) -> MachineState:
     else:
         raise TypeError(f"unknown action {action!r}")
 
-    new_obs = replace(
-        obs,
+    new_obs = ObservationState(
         nf_procs=nf,
         primaries=obs.primaries if primaries == obs.primaries else primaries,
+        roster=obs.roster,
         sent=_grown(obs.sent, sent),
         received=_grown(obs.received, received),
         voted=_grown(obs.voted, voted),
         learned=_grown(obs.learned, learned),
+        executed=obs.executed,
+        requested=obs.requested,
+        responded=obs.responded,
     )
     _check_safety(new_obs, cfg)
-    return MachineState(cfg, new_obs, frozenset(pending))
+    pending = state.pending
+    if gone is not None:
+        pending = pending - {gone}
+    if arriving:
+        pending = pending | arriving
+    child = MachineState(cfg, new_obs, pending)
+    if sent or received or voted:
+        f = _facts_after(f, cfg, sent, received, voted)
+    child.__dict__["facts"] = f
+    return child
 
 
 def run(config: SystemConfig, actions) -> list:

@@ -6,6 +6,8 @@ end of the supplied states with three-valued tail handling.  It is kept
 separate from the production evaluator so the two can check each other.
 `naive_quorum` and `retest_consensus` are the checker kernel's quorum and
 consensus tests written as plain subset tests over acceptor names.
+`naive_facts` reads a machine state's protocol facts off its full histories
+in one pass, where the machine derives them from the parent state.
 """
 
 from __future__ import annotations
@@ -372,3 +374,47 @@ def naive_quorum(kernel, mask: int, b: int) -> bool:
 def retest_consensus(kernel, vmask: int, nb: int) -> bool:
     """The full re-test: some started round 1..nb holds a vote quorum."""
     return any(naive_quorum(kernel, vmask, b) for b in range(1, nb + 1))
+
+
+# ---------------------------------------------------------------------------
+# the machine's protocol facts
+
+def naive_facts(state) -> dict:
+    """The facts of ``machine.MachineState.facts``, by field name, read off
+    the state's full histories; a proposer with every round started has no
+    ``unused`` entry."""
+    obs = state.obs
+    started, accepted, maxbal, vote = set(), set(), {}, {}
+    prepared, promises, reports = {}, {}, {}
+
+    def raise_bal(a, rnd):
+        if a not in maxbal or rnd > maxbal[a]:
+            maxbal[a] = rnd
+
+    for (snd, wire, _rcv) in obs.sent:
+        if wire[0] == "1a":
+            started.add(wire[1])
+        elif wire[0] == "2a":
+            accepted.add(wire[1])
+        elif wire[0] == "1b":
+            raise_bal(snd, wire[1])
+    for (a, rnd, _slot, val) in obs.voted:
+        raise_bal(a, rnd)
+        if a not in vote or rnd > vote[a][0]:
+            vote[a] = (rnd, val)
+    for (rcv, wire, snd) in obs.received:
+        if wire[0] == "1a":
+            prepared.setdefault(wire[1], set()).add(rcv)
+        elif wire[0] == "1b":
+            promises.setdefault((rcv, wire[1]), set()).add((snd, wire[2:]))
+        elif wire[0] == "2b":
+            reports.setdefault(rcv, {}).setdefault(wire[1:3], set()).add(snd)
+    current, unused = {}, {}
+    for rnd in state.config.rounds:
+        if rnd in started:
+            current[rnd[1]] = rnd
+        else:
+            unused.setdefault(rnd[1], []).append(rnd)
+    return dict(started=started, current=current, unused=unused,
+                accepted=accepted, maxbal=maxbal, vote=vote, prepared=prepared,
+                promises=promises, reports=reports)

@@ -20,6 +20,8 @@ from livenesslab.scenarios import (
 from livenesslab.temporal import eval_expr
 from livenesslab.tracefile import trace_to_text
 
+from oracles import naive_facts
+
 
 def drive(state, pred, limit=64):
     """Apply the first enabled action matching pred, up to `limit` times."""
@@ -133,7 +135,7 @@ def test_state_computes_enabled_once_and_every_step_is_checked():
     cfg = make_config(2, 3)
     st = init(cfg)
     rng = random.Random(5)
-    rejected = 0
+    rejected = kept = 0
     for _ in range(40):
         acts = enabled(st)
         assert enabled(st) is acts
@@ -146,11 +148,15 @@ def test_state_computes_enabled_once_and_every_step_is_checked():
                     with pytest.raises(ActionNotEnabled):
                         apply_action(st, form)
                     rejected += 1
-        st = apply_action(st, rng.choice(acts))
+        nxt = apply_action(st, rng.choice(acts))
+        # a step that moves no message keeps the in-flight set itself
+        assert (nxt.pending is st.pending) == (nxt.pending == st.pending)
+        kept += nxt.pending is st.pending
+        st = nxt
         # the cached values take no part in equality or hashing
         bare = mc.MachineState(st.config, st.obs, st.pending)
         assert bare == st and hash(bare) == hash(st)
-    assert rejected
+    assert rejected and kept
 
 
 def test_tick_counts_actions_and_trace_is_deterministic():
@@ -249,13 +255,28 @@ def _canonical_obs(obs):
 _FAULTS = (DropMessage, Crash, mc.Recover)
 
 
+def _random_walk(cfg, seed, steps):
+    """One seeded walk of ``steps`` drawn enabled actions: yields each state
+    with the action drawn from it, then the last state with None.  One step
+    in four draws from every enabled action, the others from the protocol
+    actions alone (no drop, crash or recover)."""
+    rng = random.Random(seed)
+    st = init(cfg)
+    for _ in range(steps):
+        acts = enabled(st)
+        protocol = [a for a in acts if not isinstance(a, _FAULTS)]
+        action = rng.choice(acts if rng.random() < 0.25 or not protocol
+                            else protocol)
+        yield st, action
+        st = apply_action(st, action)
+    yield st, None
+
+
 def test_random_walks_match_golden_digest():
-    """200 seeded walks of 40 uniformly drawn enabled actions on
-    make_config(2,3): the digest of every state's enabled actions and
-    observation is pinned.  One step in four draws from every enabled
-    action, the others from the protocol actions alone (no drop, crash or
-    recover), so the walks both learn and reach stale prepares, stale
-    accepts and acceptor crashes mid-round."""
+    """200 seeded walks of 40 drawn enabled actions on make_config(2,3):
+    the digest of every state's enabled actions and observation is pinned.
+    The walks both learn and reach stale prepares, stale accepts and
+    acceptor crashes mid-round."""
     import hashlib
 
     cfg = make_config(2, 3)
@@ -263,14 +284,11 @@ def test_random_walks_match_golden_digest():
     drawn = set()
     reached = {"stale prepare": 0, "stale accept": 0, "acceptor crash": 0}
     for seed in range(200):
-        rng = random.Random(seed)
-        st = init(cfg)
-        for _ in range(40):
-            acts = enabled(st)
-            digest.update(repr((acts, _canonical_obs(st.obs))).encode())
-            protocol = [a for a in acts if not isinstance(a, _FAULTS)]
-            action = rng.choice(acts if rng.random() < 0.25 or not protocol
-                                else protocol)
+        for st, action in _random_walk(cfg, seed, 40):
+            if action is None:
+                digest.update(repr(_canonical_obs(st.obs)).encode())
+                break
+            digest.update(repr((enabled(st), _canonical_obs(st.obs))).encode())
             drawn.add(type(action))
             if isinstance(action, DeliverMessage) and action.msg.receiver in cfg.acceptors:
                 reached["stale prepare" if action.msg.kind == "1a"
@@ -278,8 +296,69 @@ def test_random_walks_match_golden_digest():
             if (isinstance(action, Crash) and action.process in cfg.acceptors
                     and st.obs.sent):
                 reached["acceptor crash"] += 1
-            st = apply_action(st, action)
-        digest.update(repr(_canonical_obs(st.obs)).encode())
     assert drawn == set(mc.Action)
     assert all(reached.values()), reached
     assert digest.hexdigest() == "bb32106d173f6d53c7451c607ac70a3af0880640f3dccf3bd4e5a474a91a1016"
+
+
+# --- oracles for the derived facts and the enabled order --------------------
+
+_ACTION_ORDER = {cls: k for k, cls in enumerate(mc.Action)}
+
+
+def _action_key(a):
+    """The documented order of an enabled tuple: the action's type in
+    ``Action`` order, then its field values."""
+    return (_ACTION_ORDER[type(a)],) + tuple(
+        getattr(a, f) for f in a.__dataclass_fields__
+    )
+
+
+def _check_against_oracles(st) -> None:
+    acts = enabled(st)
+    assert acts == tuple(sorted(acts, key=_action_key))
+    want = naive_facts(st)
+    bare = mc.MachineState(st.config, st.obs, st.pending)
+    for facts in (st.facts, bare.facts):
+        got = facts._asdict()
+        # an empty unused list counts as an absent key
+        got["unused"] = {p: rounds for p, rounds in got["unused"].items() if rounds}
+        assert got == want
+
+
+def test_facts_and_enabled_order_match_oracles_on_walks():
+    """Each state's facts, derived from its parent's, equal the ones read
+    off its full histories, and its enabled tuple is built already sorted.
+    Every state is checked after the whole walk, so a child that changed
+    its parent's facts in place fails too."""
+    checked = 0
+    for cfg, seeds, steps in ((make_config(2, 3), 200, 40),
+                              (make_config(3, 4), 200, 60),
+                              (make_config(1, 5), 200, 60)):
+        for seed in range(seeds):
+            states = [st for st, _action in _random_walk(cfg, seed, steps)]
+            for st in states:
+                _check_against_oracles(st)
+            checked += len(states)
+    assert checked == 200 * 41 + 400 * 61
+
+
+def test_facts_and_enabled_order_match_oracles_on_simulated_runs():
+    from livenesslab.adversary import CannotRealize, simulate
+
+    from test_evaluation import _demand_targets
+
+    cfg = make_config(2, 3)
+    realized = 0
+    for target in _demand_targets():
+        try:
+            schedule, _trace, _verdicts = simulate(target, cfg, seed=0)
+        except CannotRealize:
+            continue
+        realized += 1
+        states = [init(cfg)]
+        for rank in schedule.steps:
+            states.append(apply_action(states[-1], enabled(states[-1])[rank]))
+        for st in states:
+            _check_against_oracles(st)
+    assert realized == 84

@@ -1,6 +1,8 @@
 """Explicit-state checking: stable-duration exploration, the closed-form
 oracle it must reproduce, an exhaustive safety scan, and a bounded search
-for liveness counterexample lassos.
+for liveness counterexample lassos.  All three searches run one bitmask
+move relation of single-decree Paxos, `_Kernel.moves`, each under its own
+discipline.
 
 The stable-duration explorer counts one tick per action and constrains
 leader elections to the unstable window: an election (adopting the next
@@ -10,7 +12,8 @@ proposer plus the stabilizing round.  A superseded round keeps collecting
 promises only until a quorum has answered it; only the newest round sends
 its accept or gathers votes, and nobody promises below a round that already
 reached the accept phase.  This granularity is what makes the measured
-stable duration lengths land exactly on the closed form.
+stable duration lengths land exactly on the closed form for three and four
+acceptors.
 """
 
 from __future__ import annotations
@@ -46,16 +49,17 @@ def formula_oracle(i: int, j: int, x: int) -> int:
     """Closed form for the stable duration length.
 
     j*x + (j + 2 + ceil((j+1)/2)) while x <= i, constant afterwards: the
-    parenthesized term is the length of an uncontended round (prepare
+    parenthesized term, base, is the length of an uncontended round (prepare
     broadcast, every acceptor's promise, the accept broadcast, and a quorum
     of votes), and each tick of instability lets one more round compete at
     a cost of j actions.
 
-    ``explore`` matches this form only for j in {3, 4}.  It stops a
-    superseded round's promises once that round has a quorum, so each extra
-    round costs 1 + (j//2 + 1) actions, which equals j only there: at j = 5,
-    (i, j) = (1, 5) and (2, 5) give 10 and 14 at x = 0 and 1, where the form
-    gives 10 and 15.
+    ``explore`` follows the law (j//2 + 2)*min(x, i) + base instead.  It
+    stops a superseded round's promises once that round has a quorum, so
+    each extra round costs 1 + q actions, q = j//2 + 1, which equals j only
+    for j in {3, 4}, where the two agree.  Measured: (1,5) 10/14/14 and
+    (2,5) 10/14/18/18 at x = 0, 1, ..., where the form gives 10/15/15 and
+    10/15/20/20; (1,6) 12/17/17, (1,7) 13/18 and (2,6) 12/17.
     """
     if i < 1 or j < 1 or x < 0:
         raise ValueError("need i >= 1, j >= 1, x >= 0")
@@ -93,27 +97,38 @@ def competing_rounds_config(n_proposers: int, n_acceptors: int) -> SystemConfig:
 
 
 class _Kernel:
-    """Single-decree Paxos over bitmasks, built once per config and shared
-    by the three searches.  `explore` keeps its own successor function;
-    `safety_scan` and the lasso search run `moves`.
+    """Single-decree Paxos over bitmasks, built once per config.  The three
+    searches all run its one move relation, `moves`, each under its own
+    discipline.
 
     Rounds are numbered 1..pool.  Acceptor a's promise (or vote) in round b
     is bit a*pool + b-1 of a promise (or vote) mask, and maxbal[a] is the
-    highest round a has promised or voted in; each search builds the
-    successor of a promise or vote by an acceptor that `promisers` or
-    `voters` names by raising maxbal[a] to b and setting bits[b][a] in the
-    mask, with no intermediate tuple.  The owner tables follow the
+    highest round a has promised or voted in; `moves` builds the successor
+    of a promise or vote by raising maxbal[a] to b and setting bits[b][a]
+    in the mask, with no intermediate tuple.  The owner tables follow the
     config's sorted rounds: a round names its owner, and a round naming no
-    proposer falls to proposer k mod |proposers|.  The pool defaults to the
-    config's rounds; `explore` passes its own pool size and never reads the
-    owner tables.
+    proposer falls to proposer k mod |proposers|.  `explore` never reads
+    them, so its pool may run past the config's rounds.
 
-    With ``owned``, a round's owner sends its accept only while the round is
-    its current one, that is while the number of started rounds is below
-    next_own[b], the next round of the same owner, and each proposer learns
-    on its own.  Without it next_own lies past the pool, so any round may
-    send its accept, and one anonymous learner learns.  Learner l having
-    learned the config's value n is bit l*|values| + n of the learned mask.
+    The discipline fixes which moves a state offers:
+
+    - "scan" (`safety_scan`): the pool is the config's rounds, any round may
+      send its accept, and one anonymous learner learns.
+    - "owned" (the lasso search): as "scan", except that a round's owner
+      sends its accept only while the round is its current one, that is
+      while the number of started rounds is below next_own[b], the next
+      round of the same owner, and each proposer learns on its own.
+      Learner l having learned the config's value n is bit l*|values| + n
+      of the learned mask.
+    - "stable" (`explore`): the pool is one competing round per proposer
+      plus the stabilizing round.  A round is promised only if it is at
+      least the newest round whose accept was sent, and only while it is
+      the newest round or lacks a promise quorum; only the newest round
+      accepts and votes.  An accept records True, not the 1b rule's value:
+      `explore` reads no values, and a value would split states that differ
+      in nothing else.  `explore` passes no chosen values, so nobody learns,
+      and it drops the election, which `moves` lists first, once the
+      unstable window is over: only it knows the tick.
 
     A quorum test masks the round's acceptor bits out of a mask and looks
     the pattern up in one table.  Bits of different rounds never overlap, so
@@ -121,12 +136,12 @@ class _Kernel:
     use: at most pool * 2**j entries, far fewer in practice.
     """
 
-    def __init__(self, config: SystemConfig, pool: Optional[int] = None,
-                 owned: bool = False):
+    def __init__(self, config: SystemConfig, discipline: str):
         self.config = config
         self.rounds = tuple(sorted(config.rounds))
         self.j = j = len(config.acceptors)
-        self.pool = pool = pool or len(self.rounds)
+        self.stable = discipline == "stable"
+        self.pool = pool = len(config.proposers) + 1 if self.stable else len(self.rounds)
         index = {a: k for k, a in enumerate(config.acceptors)}
         # per round b: each acceptor's bit, and each quorum's bit pattern
         self.bits = [()] + [tuple(1 << (a * pool + b - 1) for a in range(j))
@@ -149,14 +164,13 @@ class _Kernel:
         self.owner_value = [None] + [
             config.values[proposers.index(p) % len(config.values)]
             for p in self.owner[1:]]
-        n = len(self.rounds)
-        self.next_own = [pool + 1] * (n + 1)
-        if owned:
+        self.next_own = [pool + 1] * (pool + 1)
+        if discipline == "owned":
             upcoming = {}
-            for b in range(n, 0, -1):
-                self.next_own[b] = upcoming.get(self.owner[b], n + 1)
+            for b in range(pool, 0, -1):
+                self.next_own[b] = upcoming.get(self.owner[b], pool + 1)
                 upcoming[self.owner[b]] = b
-        self.learners = proposers if owned else (None,)
+        self.learners = proposers if discipline == "owned" else (None,)
         nv = len(config.values)
         self.learn_bits = {v: tuple(1 << (k * nv + m) for k in range(len(self.learners)))
                            for m, v in enumerate(config.values)}
@@ -175,15 +189,6 @@ class _Kernel:
         if hit is None:
             hit = self.quorate[m] = any(m & q == q for q in self.quorums[b])
         return hit
-
-    def promisers(self, maxbal: tuple, b: int) -> list:
-        """Acceptors that can promise round b."""
-        return [a for a in range(self.j) if maxbal[a] < b]
-
-    def voters(self, maxbal: tuple, vmask: int, b: int) -> list:
-        """Acceptors that can vote in round b, whose accept is assumed sent."""
-        bits = self.bits[b]
-        return [a for a in range(self.j) if maxbal[a] <= b and not vmask & bits[a]]
 
     def accept_value(self, pmask: int, vmask: int, accepted: tuple, b: int):
         """The 1b rule: the value of the latest round below b in which a
@@ -210,34 +215,45 @@ class _Kernel:
         return out
 
     def moves(self, st, chosen) -> list:
-        """(name, successor) for every move from ``st``, whose `chosen`
-        values are given: an election of the next round, a promise, an
-        accept, a vote, and a learn of a chosen value by each learner that
-        has not learned it.  Rounds start in ascending order, and messages
-        are read from a pool, so delivery interleavings stay out of the
-        state."""
+        """(name, successor) for every move from ``st`` that the discipline
+        allows, given its `chosen` values: an election of the next round, a
+        promise, an accept, a vote, and a learn of a chosen value by each
+        learner that has not learned it.  Rounds start in ascending order,
+        and messages are read from a pool, so delivery interleavings stay
+        out of the state."""
         nb, maxbal, pmask, accepted, vmask, learned = st
+        stable, acceptors = self.stable, range(self.j)
         out = []
         if nb < self.pool:
             out.append((("elect", nb + 1),
                         (nb + 1, maxbal, pmask, accepted + (None,), vmask, learned)))
-        for b in range(1, nb + 1):
+        # the lowest round that may be promised, and that may accept or vote
+        low = newest = 1
+        if stable and nb:
+            low = newest = nb
+            while low > 1 and accepted[low - 1] is None:
+                low -= 1
+        for b in range(low, nb + 1):
+            if stable and b != nb and self.quorum(pmask, b):
+                continue
             bits, names = self.bits[b], self.promise_names[b]
-            for a in self.promisers(maxbal, b):
-                nm = maxbal[:a] + (b,) + maxbal[a + 1:]
-                out.append((names[a], (nb, nm, pmask | bits[a], accepted, vmask, learned)))
-        for b in range(1, nb + 1):
+            for a in acceptors:
+                if maxbal[a] < b:
+                    nm = maxbal[:a] + (b,) + maxbal[a + 1:]
+                    out.append((names[a], (nb, nm, pmask | bits[a], accepted, vmask, learned)))
+        for b in range(newest, nb + 1):
             if (accepted[b - 1] is None and nb < self.next_own[b]
                     and self.quorum(pmask, b)):
-                value = self.accept_value(pmask, vmask, accepted, b)
+                value = True if stable else self.accept_value(pmask, vmask, accepted, b)
                 acc = accepted[:b - 1] + (value,) + accepted[b:]
                 out.append((("accept", b), (nb, maxbal, pmask, acc, vmask, learned)))
-        for b in range(1, nb + 1):
+        for b in range(newest, nb + 1):
             if accepted[b - 1] is not None:
                 bits, names = self.bits[b], self.vote_names[b]
-                for a in self.voters(maxbal, vmask, b):
-                    nm = maxbal[:a] + (b,) + maxbal[a + 1:]
-                    out.append((names[a], (nb, nm, pmask, accepted, vmask | bits[a], learned)))
+                for a in acceptors:
+                    if maxbal[a] <= b and not vmask & bits[a]:
+                        nm = maxbal[:a] + (b,) + maxbal[a + 1:]
+                        out.append((names[a], (nb, nm, pmask, accepted, vmask | bits[a], learned)))
         for v, b in chosen.items():
             for learner, bit in zip(self.learners, self.learn_bits[v]):
                 if not learned & bit:
@@ -284,67 +300,47 @@ def explore(config: SystemConfig, stable_start: int,
     if stable_start < 0:
         raise ValueError("stable_start must be non-negative")
     t0 = time.perf_counter()
-    i = len(config.proposers)
     x = stable_start
-    pool = i + 1
-    k = _Kernel(config, pool)
-    tick_cap = formula_oracle(i, k.j, x) + _TICK_SLACK
+    k = _Kernel(config, "stable")
+    tick_cap = formula_oracle(len(config.proposers), k.j, x) + _TICK_SLACK
 
-    # state: (tick, rounds_started, maxbal per acceptor, promise bitmask,
-    #         accept bitmask, vote bitmask); round b's accept is bit b-1
-    init = (0, 0, (0,) * k.j, 0, 0, 0)
-
-    def successors(st):
-        tick, nb, maxbal, pmask, amask, vmask = st
-        out = []
-        if tick <= x and nb < pool:
-            out.append((tick + 1, nb + 1, maxbal, pmask, amask, vmask))
-        hi_accepted = amask.bit_length()  # newest round whose accept was sent
-        for b in range(max(hi_accepted, 1), nb + 1):
-            if b != nb and k.quorum(pmask, b):
-                continue
-            bits = k.bits[b]
-            for a in k.promisers(maxbal, b):
-                nm = maxbal[:a] + (b,) + maxbal[a + 1:]
-                out.append((tick + 1, nb, nm, pmask | bits[a], amask, vmask))
-        b = nb
-        if b >= 1 and not (amask >> (b - 1) & 1):
-            if k.quorum(pmask, b):
-                out.append((tick + 1, nb, maxbal, pmask, amask | (1 << (b - 1)), vmask))
-        elif b >= 1:
-            bits = k.bits[b]
-            for a in k.voters(maxbal, vmask, b):
-                nm = maxbal[:a] + (b,) + maxbal[a + 1:]
-                out.append((tick + 1, nb, nm, pmask, amask, vmask | bits[a]))
-        return out
-
-    seen = {init}
-    frontier = deque([init])
-    generated = 0
+    # Every move costs one tick, so a state can only meet states of its own
+    # tick: each level of the search is one tick, keyed on the bare kernel
+    # state, and is dropped once the next one is built.
+    level = [k.initial]
+    tick = 0
+    generated, distinct = 0, 1   # the initial state counts as distinct
     best: Optional[int] = None
-    while frontier:
-        st = frontier.popleft()
-        succ = successors(st)
-        generated += len(succ)
-        if not succ:
-            raise NoConsensusPath(f"stuck without consensus at tick {st[0]}")
-        for s in succ:
-            if s in seen:
-                continue
-            if len(seen) >= max_states:
-                raise BudgetExceeded("state", max_states)
-            if s[0] > tick_cap:
-                raise BudgetExceeded("tick", tick_cap)
-            seen.add(s)
-            # A state with a vote quorum is never expanded, so no frontier
-            # state has a quorum in any round, and only a vote (always in
-            # the newest round) changes the vote mask: a successor reached
-            # consensus exactly when its newest round holds a vote quorum.
-            if k.quorum(s[5], s[1]):
-                if best is None or s[0] > best:
-                    best = s[0]
-            else:
-                frontier.append(s)
+    while level:
+        seen = set()
+        nxt = []
+        for st in level:
+            succ = k.moves(st, {})
+            if tick > x and st[0] < k.pool:
+                del succ[0]   # the election; moves lists it first
+            generated += len(succ)
+            if not succ:
+                raise NoConsensusPath(f"stuck without consensus at tick {tick}")
+            for _name, s in succ:
+                if s in seen:
+                    continue
+                if distinct >= max_states:
+                    raise BudgetExceeded("state", max_states)
+                if tick + 1 > tick_cap:
+                    raise BudgetExceeded("tick", tick_cap)
+                seen.add(s)
+                distinct += 1
+                # A state with a vote quorum is never expanded, so no level
+                # state has a quorum in any round, and only a vote (always
+                # in the newest round) changes the vote mask: a successor
+                # reached consensus exactly when its newest round holds a
+                # vote quorum.
+                if k.quorum(s[4], s[0]):
+                    best = tick + 1
+                else:
+                    nxt.append(s)
+        level = nxt
+        tick += 1
     if best is None:
         raise NoConsensusPath("no behavior reached a vote quorum")
     return CheckRun(
@@ -352,7 +348,7 @@ def explore(config: SystemConfig, stable_start: int,
         stable_start=stable_start,
         stable_length=best,
         states_generated=generated,
-        distinct_states=len(seen),
+        distinct_states=distinct,
         elapsed_seconds=time.perf_counter() - t0,
     )
 
@@ -378,7 +374,7 @@ def safety_scan(config: SystemConfig, max_states: int = 2_000_000) -> SafetyRepo
     once a quorum has voted for it, and votes and accepted values are never
     withdrawn, so it cannot fire.  It stays as a guard until a machine-level
     referee checks the kernel's moves."""
-    k = _Kernel(config)
+    k = _Kernel(config, "scan")
 
     def check(st, chosen) -> Optional[str]:
         if len(chosen) > 1:
@@ -507,7 +503,7 @@ def check_liveness_lasso(config: SystemConfig, link: CatalogId,
     server_expr = build(server)
     assertion_expr = build(assertion)
     raw_link = link.name == "Raw"
-    k = _Kernel(config, owned=True)
+    k = _Kernel(config, "owned")
 
     def violation_plausible(state, chosen) -> bool:
         """Cheap necessary condition for the assertion to fail on the

@@ -287,6 +287,8 @@ def _dispatch(args) -> int:
         return OK
 
     if args.command == "modelcheck":
+        if args.max_states < 1:
+            raise ValueError(f"--max-states must be at least 1, got {args.max_states}")
         config = make_config(args.proposers, args.acceptors)
         jobs = min(args.jobs, os.cpu_count() or 1, len(args.start))
         if jobs > 1:

@@ -35,22 +35,41 @@ def test_formula_oracle_values():
         formula_oracle(2, 3, -1)
 
 
+def _explore_law(i, j, x):
+    """The stable length explore measures: a superseded round costs its
+    election and a quorum of promises, 1 + (j//2 + 1) actions."""
+    return (j // 2 + 2) * min(x, i) + formula_oracle(i, j, 0)
+
+
 def test_explore_departs_from_formula_at_five_acceptors():
-    # the closed form holds only for j in {3, 4} (see formula_oracle)
-    for i in (1, 2):
-        cfg = make_config(i, 5)
-        assert [explore(cfg, x).stable_length for x in (0, 1)] == [10, 14]
-        assert [formula_oracle(i, 5, x) for x in (0, 1)] == [10, 15]
+    # the closed form holds only for j in {3, 4} (see formula_oracle), where
+    # it equals the law explore follows
+    for j in (3, 4):
+        assert all(_explore_law(i, j, x) == formula_oracle(i, j, x)
+                   for i in (1, 2, 3) for x in range(5))
+    for (i, j), xs, lengths in (((1, 5), (0, 1, 2), [10, 14, 14]),
+                                ((2, 5), (0, 1), [10, 14]),
+                                ((1, 6), (0, 1), [12, 17])):
+        cfg = make_config(i, j)
+        assert [explore(cfg, x).stable_length for x in xs] == lengths, (i, j)
+        assert [_explore_law(i, j, x) for x in xs] == lengths, (i, j)
+    assert [formula_oracle(i, 5, x) for i in (1, 2) for x in (0, 1)] == [10, 15] * 2
 
 
 def test_explore_matches_oracle_on_2p3a():
     cfg = make_config(2, 3)
+    # explore's pool is one round per proposer plus one, past the config's
+    one_round = SystemConfig(proposers=cfg.proposers, acceptors=cfg.acceptors,
+                             rounds=((1, "p1"),))
     for x in (0, 1, 2, 3):
         run = explore(cfg, x)
         assert run.stable_length == formula_oracle(2, 3, x), x
         assert run.stable_start == x
         assert run.distinct_states <= run.states_generated
         assert run.stable_length >= run.stable_start
+        other = explore(one_round, x)
+        assert (other.states_generated, other.distinct_states) == \
+            (run.states_generated, run.distinct_states)
 
 
 def test_explore_rejects_negative_start_and_tiny_budget():
@@ -61,10 +80,28 @@ def test_explore_rejects_negative_start_and_tiny_budget():
         explore(cfg, 2, max_states=50)
 
 
-# (stable length, states generated, distinct states) for x = 0..3, pinned
-# from the bitmask explorer; any change to the move rules shows up here
+def test_explore_budgets_are_exact(monkeypatch):
+    # (2,3) has 2053 distinct states at x = 2, and length 10 at x = 1, one
+    # tick past the closed form less one
+    cfg = make_config(2, 3)
+    assert explore(cfg, 2, max_states=2053).distinct_states == 2053
+    with pytest.raises(BudgetExceeded) as exc:
+        explore(cfg, 2, max_states=2052)
+    assert (exc.value.what, exc.value.limit) == ("state", 2052)
+    monkeypatch.setattr(checker, "_TICK_SLACK", -1)
+    with pytest.raises(BudgetExceeded) as exc:
+        explore(cfg, 1)
+    assert (exc.value.what, exc.value.limit) == ("tick", 9)
+
+
+# (stable length, states generated, distinct states) for x = 0, 1, ...,
+# pinned from the bitmask explorer; any change to the move rules shows up
+# here.  From x = 5 on (2,3) a round can gather votes before the next
+# election, so an accept that carried the 1b rule's value would split
+# states that differ in nothing else: (14, 7010, 3772) at x = 5.
 _EXPLORE_PINS = {
-    (2, 3): [(7, 62, 37), (10, 526, 289), (13, 3915, 2053), (13, 3924, 2053)],
+    (2, 3): [(7, 62, 37), (10, 526, 289), (13, 3915, 2053), (13, 3924, 2053),
+             (13, 4187, 2197), (14, 6929, 3709), (15, 13140, 7129)],
     (2, 4): [(9, 206, 92), (13, 3506, 1457), (17, 54788, 21932),
              (17, 54802, 21932)],
 }
@@ -74,7 +111,7 @@ def test_explore_golden_counters():
     for (i, j), rows in _EXPLORE_PINS.items():
         cfg = make_config(i, j)
         got = [(r.stable_length, r.states_generated, r.distinct_states)
-               for r in (explore(cfg, x) for x in range(4))]
+               for r in (explore(cfg, x) for x in range(len(rows)))]
         assert got == rows, (i, j)
 
 
@@ -106,8 +143,8 @@ def _non_majority_config():
 
 def test_kernel_quorum_is_the_naive_subset_test():
     for cfg in (make_config(3, 4), competing_rounds_config(2, 3), _non_majority_config()):
-        for pool in (None, len(cfg.proposers) + 1):      # the scans' and explore's
-            k = checker._Kernel(cfg, pool)
+        for discipline in ("scan", "stable"):     # the scans' pool and explore's
+            k = checker._Kernel(cfg, discipline)
             for b in range(1, k.pool + 1):
                 others = sum(1 << (a * k.pool + c - 1) for a in range(k.j)
                              for c in range(1, k.pool + 1) if c != b)
@@ -183,7 +220,7 @@ def test_safety_scan_learns_two_chosen_values_in_first_choosing_round_order():
     # chosen, so only it shows the order in which `chosen` feeds the learns
     cfg = competing_rounds_config(2, 2)
     object.__setattr__(cfg, "quorums", (frozenset({"a1"}), frozenset({"a2"})))
-    k = checker._Kernel(cfg)
+    k = checker._Kernel(cfg, "scan")
     seen, frontier, names, both = {k.initial}, deque([k.initial]), [], 0
     while frontier:
         st = frontier.popleft()
@@ -220,10 +257,10 @@ def test_owned_moves_reach_the_scan_states_once_learners_fold():
     # the owner guard and the per-proposer learners change which moves a
     # state offers, not which states exist
     for cfg in (competing_rounds_config(1, 3), competing_rounds_config(2, 2)):
-        scan, generated = _kernel_bfs(checker._Kernel(cfg))
+        scan, generated = _kernel_bfs(checker._Kernel(cfg, "scan"))
         rep = safety_scan(cfg)
         assert (len(scan), generated) == (rep.distinct_states, rep.states_generated)
-        owned, _generated = _kernel_bfs(checker._Kernel(cfg, owned=True))
+        owned, _generated = _kernel_bfs(checker._Kernel(cfg, "owned"))
         nv = len(cfg.values)
 
         def fold(st):

@@ -358,6 +358,14 @@ def test_hierarchy_check_needs_a_corpus(capsys, size):
     assert err.strip() == f"error: --corpus must be at least 1, got {size}"
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_modelcheck_needs_a_state_budget(capsys, budget):
+    code, out, err = run(capsys, "modelcheck", "--proposers", "2", "--acceptors", "3",
+                         "--start", "0", "--max-states", budget)
+    assert (code, out) == (2, "")
+    assert err.strip() == f"error: --max-states must be at least 1, got {budget}"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["trace", "check", "LASSO", "--property", "PQ-Dur(-3)"],
      "error: the duration D must be non-negative"),

@@ -89,24 +89,6 @@ def tplus(base: TimeTerm, offset: int) -> TimeTerm:
     return TPlus(base, offset)
 
 
-def eval_time(term: TimeTerm, env: dict, now: int) -> int:
-    if isinstance(term, TLit):
-        return term.value
-    if isinstance(term, TNow):
-        return now
-    if isinstance(term, TVar):
-        try:
-            value = env[term.name]
-        except KeyError:
-            raise UnboundVariable(f"time variable {term.name!r} is not bound")
-        if not isinstance(value, int):
-            raise DomainUnknown(f"{term.name!r} is bound to a non-tick value")
-        return value
-    if isinstance(term, TPlus):
-        return eval_time(term.base, env, now) + term.offset
-    raise TypeError(f"not a time term: {term!r}")
-
-
 def _is_literal_time(term: TimeTerm) -> bool:
     if isinstance(term, TLit):
         return True
@@ -142,18 +124,6 @@ class Interval:
     def subst_now(self, repl: TimeTerm) -> "Interval":
         hi = None if self.hi is None else _subst_now(self.hi, repl)
         return Interval(_subst_now(self.lo, repl), hi, self.lo_closed, self.hi_closed)
-
-    def bounds(self, env: dict, now: int) -> tuple[int, Optional[int]]:
-        """Resolve to inclusive integer bounds (lo, hi); hi None means inf."""
-        lo = eval_time(self.lo, env, now)
-        if not self.lo_closed:
-            lo += 1
-        if self.hi is None:
-            return max(lo, 0), None
-        hi = eval_time(self.hi, env, now)
-        if not self.hi_closed:
-            hi -= 1
-        return max(lo, 0), hi
 
 
 def closed(lo: TimeTerm, hi: TimeTerm) -> Interval:
@@ -1146,8 +1116,8 @@ class _Compiler:
         return _fail(TypeError, f"not a time term: {term!r}")
 
     def interval(self, ivl: Interval, scope: dict):
-        """Inclusive (lo, hi) bounds as Interval.bounds computes them, except
-        that `_TraceIndex.positions` clamps lo at 0."""
+        """Inclusive (lo, hi) bounds: lo + 1 if open, hi - 1 if open, hi
+        None if unbounded; `_TraceIndex.positions` clamps lo at 0."""
         lo = self.time(ivl.lo, scope)
         lo_shift = 0 if ivl.lo_closed else 1
         if ivl.hi is None:

@@ -34,6 +34,14 @@ def _t(term, env, now):
     raise TypeError(term)
 
 
+def _bounds(ivl, env, now):
+    """Inclusive integer bounds (lo, hi) of an interval; hi None means inf."""
+    lo = max(_t(ivl.lo, env, now) + (0 if ivl.lo_closed else 1), 0)
+    if ivl.hi is None:
+        return lo, None
+    return lo, _t(ivl.hi, env, now) - (0 if ivl.hi_closed else 1)
+
+
 def _arg(a, env):
     return a.value if isinstance(a, Const) else env[a.name]
 
@@ -131,7 +139,7 @@ def naive_eval(e, states, config, env=None, now=0, open_ended=True):
             vals = [rec(e.body, env, t) for t in range(now, L)]
             return _k_or(vals, open_ended)
         if isinstance(e, During):
-            lo, hi = e.interval.bounds(env, now)
+            lo, hi = _bounds(e.interval, env, now)
             top = L - 1 if hi is None else min(hi, L - 1)
             vals = [rec(e.body, env, t) for t in range(max(lo, 0), top + 1)]
             tail = hi is None or hi > L - 1
@@ -148,7 +156,7 @@ def naive_eval(e, states, config, env=None, now=0, open_ended=True):
             univ = isinstance(e, Each)
             dom = e.domain
             if isinstance(dom, TickDomain):
-                lo, hi = dom.interval.bounds(env, now)
+                lo, hi = _bounds(dom.interval, env, now)
                 top = L - 1 if hi is None else min(hi, L - 1)
                 vals = [rec(e.body, {**env, e.var: t}, now)
                         for t in range(max(lo, 0), top + 1)]

@@ -202,6 +202,14 @@ def test_safety_scan_finds_no_violations():
     assert (rep.distinct_states, rep.states_generated) == (2681, 6781)
 
 
+def test_safety_scan_state_budget_is_exact():
+    cfg = competing_rounds_config(1, 3)
+    assert safety_scan(cfg, max_states=2681).distinct_states == 2681
+    with pytest.raises(BudgetExceeded) as exc:
+        safety_scan(cfg, max_states=2680)
+    assert (exc.value.what, exc.value.limit) == ("state", 2680)
+
+
 def test_safety_scan_reports_values_chosen_by_disjoint_quorums():
     # every valid config has intersecting quorums, so only a forged one can
     # show that the check fires; pinned before the checks moved to pop time
@@ -241,26 +249,87 @@ def test_safety_scan_learns_two_chosen_values_in_first_choosing_round_order():
 
 
 def _kernel_bfs(kernel):
-    """Every state `_Kernel.moves` reaches, and the number of moves taken."""
+    """Every state `_Kernel.moves` reaches, the number of moves taken, and
+    the states in the order a FIFO search pops them."""
     seen, frontier, generated = {kernel.initial}, deque([kernel.initial]), 0
+    order = []
     while frontier:
         st = frontier.popleft()
-        for _name, s in kernel.moves(st, kernel.chosen(st)):
+        order.append(st)
+        chosen = {} if kernel.stable else kernel.chosen(st)   # as explore passes
+        for _name, s in kernel.moves(st, chosen):
             generated += 1
             if s not in seen:
                 seen.add(s)
                 frontier.append(s)
-    return seen, generated
+    return seen, generated, order
+
+
+def _depth(st) -> int:
+    """Rounds started plus promises, accepts, votes and learns made."""
+    nb, _maxbal, pmask, accepted, vmask, learned = st
+    return (nb + pmask.bit_count() + sum(v is not None for v in accepted)
+            + vmask.bit_count() + learned.bit_count())
+
+
+def test_kernel_moves_are_graded():
+    # every path to a state has the same length, which lets `_search` keep
+    # one seen set per level
+    for cfg, discipline in ((competing_rounds_config(1, 3), "scan"),
+                            (competing_rounds_config(2, 2), "scan"),
+                            (competing_rounds_config(1, 3), "owned"),
+                            (make_config(2, 3), "stable")):
+        k = checker._Kernel(cfg, discipline)
+        _seen, generated, order = _kernel_bfs(k)
+        assert _depth(k.initial) == 0
+        for st in order:
+            chosen = {} if k.stable else k.chosen(st)
+            assert all(_depth(s) == _depth(st) + 1 for _name, s in k.moves(st, chosen)), \
+                (discipline, st)
+        assert generated > len(order) > 500
+
+
+def test_search_visits_states_in_fifo_order():
+    for cfg, discipline in ((competing_rounds_config(1, 3), "scan"),
+                            (competing_rounds_config(2, 2), "owned")):
+        k = checker._Kernel(cfg, discipline)
+        seen, generated, order = _kernel_bfs(k)
+        visited = []
+
+        def visit(st, chosen, moves, _path):
+            assert chosen == k.chosen(st) and moves == k.moves(st, chosen)
+            visited.append(st)
+            return False
+
+        assert checker._search(k, visit, 10**6) == (generated, len(seen))
+        assert visited == order
+
+
+def test_search_paths_spell_the_moves_to_each_state():
+    k = checker._Kernel(competing_rounds_config(1, 3), "owned")
+
+    def visit(st, _chosen, _moves, path):
+        names = []
+        while path is not None:
+            name, path = path
+            names.append(name)
+        replayed = k.initial
+        for name in reversed(names):
+            replayed = dict(k.moves(replayed, k.chosen(replayed)))[name]
+        assert replayed == st
+        return False
+
+    checker._search(k, visit, 10**6)
 
 
 def test_owned_moves_reach_the_scan_states_once_learners_fold():
     # the owner guard and the per-proposer learners change which moves a
     # state offers, not which states exist
     for cfg in (competing_rounds_config(1, 3), competing_rounds_config(2, 2)):
-        scan, generated = _kernel_bfs(checker._Kernel(cfg, "scan"))
+        scan, generated, _order = _kernel_bfs(checker._Kernel(cfg, "scan"))
         rep = safety_scan(cfg)
         assert (len(scan), generated) == (rep.distinct_states, rep.states_generated)
-        owned, _generated = _kernel_bfs(checker._Kernel(cfg, "owned"))
+        owned, _generated, _order = _kernel_bfs(checker._Kernel(cfg, "owned"))
         nv = len(cfg.values)
 
         def fold(st):
@@ -329,6 +398,7 @@ def test_lasso_search_budget_reports_undetermined():
                                max_states=500)
     assert res.outcome == "undetermined"
     assert res.bound == 500
+    assert res.states_explored == 223
 
 
 def test_lasso_search_fair_alw_somelearn_holds_by_exhaustion():
@@ -398,3 +468,37 @@ def test_lasso_search_sure0_holds_after_rejecting_every_closure(monkeypatch):
         "Each-Learn")
     assert res.outcome == "holds"
     assert (res.states_explored, realized, rejected) == (2681, 164, 164)
+
+
+def test_lasso_search_duration_server_counterexample_uses_the_prefix_window():
+    # PQ-Dur needs one stable window, which the closure's prefix supplies
+    # even though the top round's owner stays crashed in the cycle
+    ids = (CatalogId(LINK, "Fair"), CatalogId(SERVER, "PQ-Dur", (2,)),
+           CatalogId(ASSERTION_SINGLE, "Some-Learn"))
+    res = check_liveness_lasso(competing_rounds_config(1, 3), *ids)
+    assert res.is_counterexample
+    assert res.states_explored == 31
+    link, server, assertion = (eval_expr(build(i), res.trace) for i in ids)
+    assert link.is_holds and server.is_holds and assertion.is_violated
+
+
+def test_lasso_crash_precheck_rejects_only_closures_the_server_rejects(monkeypatch):
+    # the precheck only saves realizing closures: without it every search
+    # ends alike, after as many states, on the same trace
+    cfg = competing_rounds_config(1, 3)
+
+    def searches():
+        out = []
+        for server in (("Alw-Q",), ("Q-Alw",), ("P-Alw-Q",), ("PQ-Alw",), ("Alw",),
+                       ("PQ-Dur", (0,)), ("PQ-Dur", (2,)), ("PQ-Extra-Dur", (0, 2)),
+                       ("PQ-Extra-Dur", (2, 2))):
+            res = check_liveness_lasso(cfg, CatalogId(LINK, "Fair"),
+                                       CatalogId(SERVER, *server),
+                                       CatalogId(ASSERTION_SINGLE, "Some-Learn"))
+            out.append((res.outcome, res.states_explored,
+                        res.trace and _trace_sha256(res.trace)))
+        return out
+
+    with_precheck = searches()
+    monkeypatch.setattr(checker, "_crashes_admissible", lambda *a: True)
+    assert searches() == with_precheck

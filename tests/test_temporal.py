@@ -12,7 +12,7 @@ from livenesslab.scenarios import TraceBuilder, raft_eachvote_lasso
 from livenesslab.temporal import (
     Alw, Atom, At, Const, Evt, Interval, LassoInconsistent, NfSet, Not,
     ObservationState, TimeOutOfRange, TLit, Trace, TrueE, UNDETERMINED,
-    UnboundVariable, Var, closed, desugar, eval_expr, normalize_at, unbounded,
+    UnboundVariable, Var, desugar, eval_expr, normalize_at,
 )
 
 from oracles import naive_eval, random_expr
@@ -32,10 +32,6 @@ def quorum_lasso(always_up=("a1", "a2")):
 def test_interval_validation():
     with pytest.raises(ValueError):
         Interval(TLit(0), None, True, True)  # unbounded must be open
-    ivl = closed(TLit(2), TLit(5))
-    assert ivl.bounds({}, 0) == (2, 5)
-    assert Interval(TLit(2), TLit(5), False, False).bounds({}, 0) == (3, 4)
-    assert unbounded(TLit(3)).bounds({}, 0) == (3, None)
 
 
 def test_trace_requires_monotone_histories():

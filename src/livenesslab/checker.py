@@ -126,9 +126,9 @@ class _Kernel:
       the newest round or lacks a promise quorum; only the newest round
       accepts and votes.  An accept records True, not the 1b rule's value:
       `explore` reads no values, and a value would split states that differ
-      in nothing else.  `explore` passes no chosen values, so nobody learns,
-      and it drops the election, which `moves` lists first, once the
-      unstable window is over: only it knows the tick.
+      in nothing else.  Nobody learns, whatever chosen values `moves` is
+      given.  `explore` drops the election, which `moves` lists first, once
+      the unstable window is over: only it knows the tick.
 
     A quorum test masks the round's acceptor bits out of a mask and looks
     the pattern up in one table.  Bits of different rounds never overlap, so
@@ -254,11 +254,12 @@ class _Kernel:
                     if maxbal[a] <= b and not vmask & bits[a]:
                         nm = maxbal[:a] + (b,) + maxbal[a + 1:]
                         out.append((names[a], (nb, nm, pmask, accepted, vmask | bits[a], learned)))
-        for v, b in chosen.items():
-            for learner, bit in zip(self.learners, self.learn_bits[v]):
-                if not learned & bit:
-                    out.append((("learn", learner, b, v),
-                                (nb, maxbal, pmask, accepted, vmask, learned | bit)))
+        if not stable:   # a stable accept records True, which nobody learns
+            for v, b in chosen.items():
+                for learner, bit in zip(self.learners, self.learn_bits[v]):
+                    if not learned & bit:
+                        out.append((("learn", learner, b, v),
+                                    (nb, maxbal, pmask, accepted, vmask, learned | bit)))
         return out
 
     def owing_processes(self, moves):
@@ -412,22 +413,14 @@ def safety_scan(config: SystemConfig, max_states: int = 2_000_000) -> SafetyRepo
     """Exhaustively explore the protocol state space (election timing
     unconstrained, promises/accepts/votes under plain Paxos rules) and check
     on every state that at most one value gathers a same-round vote quorum
-    per slot and that learned values are quorum-backed.
-
-    The second check is implied by the learn rule: a value is learned only
-    once a quorum has voted for it, and votes and accepted values are never
-    withdrawn, so it cannot fire.  It stays as a guard until a machine-level
-    referee checks the kernel's moves."""
+    per slot.  Learned values need no check: a value is learned only once a
+    quorum has voted for it, and votes and accepted values are never
+    withdrawn."""
     violations = []
 
-    def visit(st, chosen, _moves, _path) -> bool:
+    def visit(_st, chosen, _moves, _path) -> bool:
         if len(chosen) > 1:
             violations.append(f"values {sorted(chosen)} each gathered a vote quorum")
-        else:
-            for n, v in enumerate(config.values):
-                if st[5] >> n & 1 and v not in chosen:
-                    violations.append(f"learned value {v!r} lacks a vote quorum")
-                    break
         return False
 
     generated, distinct = _search(_Kernel(config, "scan"), visit, max_states)
@@ -450,7 +443,7 @@ class LassoCheckResult:
 
 
 def _realize(config: SystemConfig, kernel: _Kernel, names, drop_rest: bool,
-             crash_set) -> Optional[list]:
+             crash_set) -> list:
     """Replay a path of kernel move names through the machine and close it.
 
     Promise and vote steps carry their own receipt tick; an accept first
@@ -458,7 +451,8 @@ def _realize(config: SystemConfig, kernel: _Kernel, names, drop_rest: bool,
     the matching vote reports.  At the end every leftover message is
     received (or dropped, for a Raw-link search), the owing processes
     crash, and the trace stutters forever.  Every step is checked by the
-    machine.
+    machine: a promise or vote it does not enable raises CheckerError, and
+    an election, accept or learn it refuses raises ActionNotEnabled.
     """
     drv = Driver(config)
 
@@ -475,7 +469,7 @@ def _realize(config: SystemConfig, kernel: _Kernel, names, drop_rest: bool,
             _op, a, b = name
             if not receive("1a", mc.AcceptorPromise, kernel.rounds[b - 1],
                            config.acceptors[a]):
-                return None
+                raise CheckerError(f"the machine does not enable {name}")
         elif name[0] == "accept":
             b = name[1]
             p = kernel.owner[b]
@@ -487,7 +481,7 @@ def _realize(config: SystemConfig, kernel: _Kernel, names, drop_rest: bool,
             _op, a, b = name
             if not receive("2a", mc.AcceptorVote, kernel.rounds[b - 1],
                            config.acceptors[a]):
-                return None
+                raise CheckerError(f"the machine does not enable {name}")
         elif name[0] == "learn":
             _op, p, b, value = name
             rnd = kernel.rounds[b - 1]
@@ -584,8 +578,6 @@ def check_liveness_lasso(config: SystemConfig, link: CatalogId,
             name, path = path
             names.append(name)
         states = _realize(config, k, reversed(names), raw_link, crash)
-        if states is None:
-            return False
         trace = mc.trace_of(states, loop_start=len(states) - 1)
         if not eval_expr(assertion_expr, trace).is_violated:
             return False

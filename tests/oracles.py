@@ -8,12 +8,20 @@ separate from the production evaluator so the two can check each other.
 consensus tests written as plain subset tests over acceptor names.
 `naive_facts` reads a machine state's protocol facts off its full histories
 in one pass, where the machine derives them from the parent state.
+`scan_projection`, `machine_projections` and `realized_owned_states` are the
+referee between the machine and the checker's bitmask kernel: a projection
+of machine states onto `safety_scan`'s kernel states, a breadth-first search
+of the machine whose projections must be kernel states (soundness), and a
+replay of every owned-kernel path on the machine whose last state must
+project back onto the kernel state (completeness).
 """
 
 from __future__ import annotations
 
 import random
 
+from livenesslab import checker
+from livenesslab import machine as mc
 from livenesslab.temporal import (
     After, Alw, And, At, Atom, Const, During, Each, EachSent, Evt, FalseE,
     Implies, Interval, Lasts, MemberDomain, NamedDomain, NfSet, Not, Or,
@@ -426,3 +434,94 @@ def naive_facts(state) -> dict:
     return dict(started=started, current=current, unused=unused,
                 accepted=accepted, maxbal=maxbal, vote=vote, prepared=prepared,
                 promises=promises, reports=reports)
+
+
+# ---------------------------------------------------------------------------
+# the referee between the machine and the checker's bitmask kernel
+
+def scan_projection(state) -> tuple:
+    """The `safety_scan` kernel state of a machine state, read off its
+    histories: the index of the highest round whose prepare (1a) was sent
+    among the sorted rounds, each acceptor's highest round, the promise
+    (1b) bits sent, the value each started round's accept (2a) carried,
+    the vote bits and the learned values, whoever learned them.  Acceptor
+    a's bit for round b is a*pool + b-1, as in the kernel."""
+    config, obs = state.config, state.obs
+    rounds = sorted(config.rounds)
+    pool = len(rounds)
+    index = {rnd: b for b, rnd in enumerate(rounds, 1)}
+    acceptor = {a: k for k, a in enumerate(config.acceptors)}
+    nb, pmask, vmask, learned, accepted = 0, 0, 0, 0, {}
+    for (snd, wire, _rcv) in obs.sent:
+        b = index[wire[1]]
+        if wire[0] == "1a":
+            nb = max(nb, b)
+        elif wire[0] == "1b":
+            pmask |= 1 << (acceptor[snd] * pool + b - 1)
+        elif wire[0] == "2a":
+            accepted[b] = wire[2]
+    for (a, rnd, _slot, _val) in obs.voted:
+        vmask |= 1 << (acceptor[a] * pool + index[rnd] - 1)
+    for (_srv, _slot, val) in obs.learned:
+        learned |= 1 << config.values.index(val)
+    maxbal = state.facts.maxbal
+    return (nb, tuple(index[maxbal[a]] if a in maxbal else 0 for a in config.acceptors),
+            pmask, tuple(accepted.get(b) for b in range(1, nb + 1)), vmask, learned)
+
+
+def fold_learners(state, n_values: int) -> tuple:
+    """An owned-kernel state with every learner's learned bits folded onto
+    the value bits, which makes it a scan-kernel state."""
+    learned, values = state[5], 0
+    while learned:
+        values |= learned & ((1 << n_values) - 1)
+        learned >>= n_values
+    return state[:5] + (values,)
+
+
+#: the machine actions the soundness search leaves out; none of them sends
+#: a promise or an accept, records a vote or learns, so none changes a
+#: state's projection
+_FAULTS = (mc.Crash, mc.Recover, mc.DropMessage)
+
+
+def machine_projections(config, depth: int):
+    """Breadth-first search of the machine from `init` to `depth` actions,
+    without Crash, Recover or DropMessage.  Returns the number of distinct
+    machine states and the set of their scan projections."""
+    start = mc.init(config)
+    seen, level = {start}, [start]
+    for _ in range(depth):
+        nxt = []
+        for st in level:
+            for act in mc.enabled(st):
+                if isinstance(act, _FAULTS):
+                    continue
+                s = mc.apply_action(st, act)
+                if s not in seen:
+                    seen.add(s)
+                    nxt.append(s)
+        level = nxt
+    return len(seen), {scan_projection(s) for s in seen}
+
+
+def realized_owned_states(config) -> list:
+    """Every state of the owned kernel, in `_search`'s order, realized on
+    the machine by `_realize` along its search path with the leftover
+    messages dropped: a list of (the state with learners folded, the scan
+    projection of the realized run's last state)."""
+    k = checker._Kernel(config, "owned")
+    n_values = len(config.values)
+    pairs = []
+
+    def visit(st, _chosen, _moves, path) -> bool:
+        names = []
+        while path is not None:
+            name, path = path
+            names.append(name)
+        states = checker._realize(config, k, reversed(names), True, set())
+        pairs.append((fold_learners(st, n_values), scan_projection(states[-1])))
+        return False
+
+    checker._search(k, visit, 10**6)
+    return pairs

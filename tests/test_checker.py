@@ -1,4 +1,5 @@
 import hashlib
+import re
 import sys
 from collections import deque
 
@@ -7,7 +8,7 @@ import pytest
 from livenesslab import checker
 from livenesslab.catalog import ASSERTION_SINGLE, LINK, SERVER, CatalogId
 from livenesslab.checker import (
-    BudgetExceeded, CheckRun, check_liveness_lasso,
+    BudgetExceeded, CheckerError, CheckRun, check_liveness_lasso,
     competing_rounds_config, explore, formula_oracle, safety_scan,
 )
 from livenesslab.machine import SystemConfig, make_config
@@ -15,7 +16,10 @@ from livenesslab.temporal import eval_expr
 from livenesslab.catalog import build
 from livenesslab.tracefile import trace_to_text
 
-from oracles import naive_quorum, retest_consensus
+from oracles import (
+    fold_learners, machine_projections, naive_quorum, realized_owned_states,
+    retest_consensus,
+)
 
 
 def test_formula_oracle_values():
@@ -256,8 +260,7 @@ def _kernel_bfs(kernel):
     while frontier:
         st = frontier.popleft()
         order.append(st)
-        chosen = {} if kernel.stable else kernel.chosen(st)   # as explore passes
-        for _name, s in kernel.moves(st, chosen):
+        for _name, s in kernel.moves(st, kernel.chosen(st)):
             generated += 1
             if s not in seen:
                 seen.add(s)
@@ -274,19 +277,20 @@ def _depth(st) -> int:
 
 def test_kernel_moves_are_graded():
     # every path to a state has the same length, which lets `_search` keep
-    # one seen set per level
-    for cfg, discipline in ((competing_rounds_config(1, 3), "scan"),
-                            (competing_rounds_config(2, 2), "scan"),
-                            (competing_rounds_config(1, 3), "owned"),
-                            (make_config(2, 3), "stable")):
+    # one seen set per level; a stable kernel offers no learn moves even
+    # when given the values its quorums chose
+    for cfg, discipline, counts in (
+            (competing_rounds_config(1, 3), "scan", (6781, 2681)),
+            (competing_rounds_config(2, 2), "scan", (1434, 770)),
+            (competing_rounds_config(1, 3), "owned", (6557, 2681)),
+            (make_config(2, 3), "stable", (127977, 65641))):
         k = checker._Kernel(cfg, discipline)
         _seen, generated, order = _kernel_bfs(k)
         assert _depth(k.initial) == 0
         for st in order:
-            chosen = {} if k.stable else k.chosen(st)
-            assert all(_depth(s) == _depth(st) + 1 for _name, s in k.moves(st, chosen)), \
-                (discipline, st)
-        assert generated > len(order) > 500
+            assert all(_depth(s) == _depth(st) + 1
+                       for _name, s in k.moves(st, k.chosen(st))), (discipline, st)
+        assert (generated, len(order)) == counts, discipline
 
 
 def test_search_visits_states_in_fifo_order():
@@ -324,21 +328,34 @@ def test_search_paths_spell_the_moves_to_each_state():
 
 def test_owned_moves_reach_the_scan_states_once_learners_fold():
     # the owner guard and the per-proposer learners change which moves a
-    # state offers, not which states exist
-    for cfg in (competing_rounds_config(1, 3), competing_rounds_config(2, 2)):
+    # state offers, not which states exist; and the referee's completeness
+    # half: the machine realizes every owned state's search path, ending in
+    # a state that projects onto it, so the scan holds no state the machine
+    # cannot reach
+    for cfg, n_owned in ((competing_rounds_config(1, 3), 2681),
+                         (competing_rounds_config(2, 2), 1140)):
         scan, generated, _order = _kernel_bfs(checker._Kernel(cfg, "scan"))
         rep = safety_scan(cfg)
         assert (len(scan), generated) == (rep.distinct_states, rep.states_generated)
         owned, _generated, _order = _kernel_bfs(checker._Kernel(cfg, "owned"))
         nv = len(cfg.values)
+        assert {fold_learners(st, nv) for st in owned} == scan
+        realized = realized_owned_states(cfg)
+        assert len(realized) == len(owned) == n_owned
+        assert [pair for pair in realized if pair[0] != pair[1]] == []
+        assert {projected for _folded, projected in realized} == scan
 
-        def fold(st):
-            learned, values = st[5], 0
-            while learned:
-                values |= learned & ((1 << nv) - 1)
-                learned >>= nv
-            return st[:5] + (values,)
-        assert {fold(st) for st in owned} == scan
+
+def test_referee_machine_projections_lie_in_the_scan_states():
+    # the referee's soundness half: every machine state within the depth,
+    # crash, recovery and drop aside, projects onto a state of safety_scan
+    for cfg, depth, pins in ((make_config(1, 3), 12, (7754, 639)),
+                             (competing_rounds_config(2, 2), 12, (4281, 299)),
+                             (competing_rounds_config(2, 3), 10, (21394, 1498))):
+        n_states, projections = machine_projections(cfg, depth)
+        assert (n_states, len(projections)) == pins, cfg
+        scan, _generated, _order = _kernel_bfs(checker._Kernel(cfg, "scan"))
+        assert projections - scan == set(), cfg
 
 
 def test_lasso_search_fair_alwq_somelearn_counterexample():
@@ -364,6 +381,13 @@ def test_lasso_search_raw_alw_eachvote_counterexample():
     assert eval_expr(build(CatalogId(SERVER, "Alw")), res.trace).is_holds
     assert eval_expr(build(CatalogId(ASSERTION_SINGLE, "Each-Vote")),
                      res.trace).is_violated
+    # a forged path whose promise or vote the machine does not enable: a
+    # repeated promise, and a vote in a round whose accept was never sent
+    k = checker._Kernel(cfg, "owned")
+    for names in ([("elect", 1), ("promise", 0, 1), ("promise", 0, 1)],
+                  [("elect", 1), ("promise", 0, 1), ("vote", 0, 1)]):
+        with pytest.raises(CheckerError, match=re.escape(str(names[-1]))):
+            checker._realize(cfg, k, names, True, set())
 
 
 def test_realized_closures_apply_only_enabled_actions(monkeypatch):
@@ -419,8 +443,7 @@ def _counted_search(monkeypatch, cfg, link, server, assertion):
 
     def counting_realize(*args):
         states = realize(*args)
-        if states is not None:
-            realized.append(states)
+        realized.append(states)
         return states
 
     def counting_eval(expr, trace):

@@ -1,9 +1,9 @@
 """Explicit-state checking: stable-duration exploration, the closed-form
 oracle it must reproduce, an exhaustive safety scan, and a bounded search
-for liveness counterexample lassos.  All three searches run one bitmask
-move relation of single-decree Paxos, `_Kernel.moves`, each under its own
-discipline; `safety_scan` and the lasso search share one breadth-first
-search, `_search`, whose paths are chains of move names.
+for liveness counterexample lassos.  All three searches run one move
+relation of single-decree Paxos over one int per state, `_Kernel.moves`,
+each under its own discipline; `safety_scan` and the lasso search share
+one breadth-first search, `_search`, whose paths are chains of move names.
 
 The stable-duration explorer counts one tick per action and constrains
 leader elections to the unstable window: an election (adopting the next
@@ -39,6 +39,11 @@ class BudgetExceeded(CheckerError):
         self.what = what
         self.limit = limit
         super().__init__(f"exceeded the {what} budget of {limit}")
+
+    def __reduce__(self):
+        # a worker process pickles the exception; the default would call
+        # __init__ with the message alone
+        return type(self), (self.what, self.limit)
 
 
 class NoConsensusPath(CheckerError):
@@ -97,18 +102,38 @@ def competing_rounds_config(n_proposers: int, n_acceptors: int) -> SystemConfig:
 
 
 class _Kernel:
-    """Single-decree Paxos over bitmasks, built once per config.  The three
-    searches all run its one move relation, `moves`, each under its own
-    discipline.
+    """Single-decree Paxos over one int per state, built once per config.
+    The three searches all run its one move relation, `moves`, each under
+    its own discipline.
 
-    Rounds are numbered 1..pool.  Acceptor a's promise (or vote) in round b
-    is bit a*pool + b-1 of a promise (or vote) mask, and maxbal[a] is the
-    highest round a has promised or voted in; `moves` builds the successor
-    of a promise or vote by raising maxbal[a] to b and setting bits[b][a]
-    in the mask, with no intermediate tuple.  The owner tables follow the
-    config's sorted rounds: a round names its owner, and a round naming no
-    proposer falls to proposer k mod |proposers|.  `explore` never reads
-    them, so its pool may run past the config's rounds.
+    Rounds are numbered 1..pool, and every round number fits in W =
+    pool.bit_length() bits.  A state packs these fields, from bit 0 up:
+
+    - nb, the number of rounds started, in W bits;
+    - maxbal[a], acceptor a's highest promised or voted round, in W bits
+      each, at `maxbal_at[a]`;
+    - the promise mask at `promise_at`: acceptor a's promise in round b is
+      bit a*pool + b-1 of it;
+    - one accepted field per round at `accept_at`, `accept_width` bits each:
+      one bit under "stable", and under "scan" and "owned" the accepted
+      value's index in the config's values plus one, 0 for no accept;
+    - the vote mask at `vote_at`, laid out as the promise mask;
+    - the learned mask at `learn_at`, on top: learner l having learned the
+      config's value n is bit l*|values| + n.
+
+    A move is arithmetic on the int, with no intermediate object: an
+    election adds 1; a promise or vote adds a delta that swaps maxbal[a]
+    for b and sets its bit; an accept ORs its value's code into its round's
+    field, and a learn ORs one bit.  Which promises and votes the maxbal
+    guards allow, and their deltas, depend only on the head, the low bits
+    that hold nb and maxbal, so `_head` builds them once per head.  No field
+    can carry into the next: nb and maxbal stay at most pool, and a move
+    sets only bits that are clear.
+
+    The owner tables follow the config's sorted rounds: a round names its
+    owner, and a round naming no proposer falls to proposer k mod
+    |proposers|.  `explore` never reads them, so its pool may run past the
+    config's rounds.
 
     The discipline fixes which moves a state offers:
 
@@ -118,8 +143,6 @@ class _Kernel:
       sends its accept only while the round is its current one, that is
       while the number of started rounds is below next_own[b], the next
       round of the same owner, and each proposer learns on its own.
-      Learner l having learned the config's value n is bit l*|values| + n
-      of the learned mask.
     - "stable" (`explore`): the pool is one competing round per proposer
       plus the stabilizing round.  A round is promised only if it is at
       least the newest round whose accept was sent, and only while it is
@@ -130,40 +153,66 @@ class _Kernel:
       given.  `explore` drops the election, which `moves` lists first, once
       the unstable window is over: only it knows the tick.
 
-    A quorum test masks the round's acceptor bits out of a mask and looks
-    the pattern up in one table.  Bits of different rounds never overlap, so
-    a non-zero pattern names its round, and the table is filled on first
-    use: at most pool * 2**j entries, far fewer in practice.
+    A quorum test takes the promise or vote mask shifted down to bit 0,
+    masks round b's acceptor bits out of it and looks the pattern up in one
+    table.  Bits of different rounds never overlap, so a non-zero pattern
+    names its round, and the table is filled on first use: at most
+    pool * 2**j entries, far fewer in practice.
     """
 
     def __init__(self, config: SystemConfig, discipline: str):
         self.config = config
         self.rounds = tuple(sorted(config.rounds))
         self.j = j = len(config.acceptors)
-        self.stable = discipline == "stable"
-        self.pool = pool = len(config.proposers) + 1 if self.stable else len(self.rounds)
+        self.stable = stable = discipline == "stable"
+        self.pool = pool = len(config.proposers) + 1 if stable else len(self.rounds)
+        values = config.values
+        nv = len(values)
+        # the fields' offsets and widths
+        self.width = w = pool.bit_length()
+        self.round_mask = (1 << w) - 1   # a round number; nb is the lowest field
+        self.maxbal_at = tuple(w * (a + 1) for a in range(j))
+        self.promise_at = w * (j + 1)
+        self.accept_at = self.promise_at + j * pool
+        self.accept_width = f = 1 if stable else nv.bit_length()
+        self.vote_at = self.accept_at + pool * f
+        self.learn_at = self.vote_at + j * pool
+        self.code_mask = (1 << f) - 1                # one accepted field
+        self.accepted_mask = (1 << pool * f) - 1     # all of them, shifted down
+        self.vote_field = ((1 << j * pool) - 1) << self.vote_at   # in place
+        #: an accepted field's code -> the value it records
+        self.codes = (None, True) if stable else (None,) + values
         index = {a: k for k, a in enumerate(config.acceptors)}
-        # per round b: each acceptor's bit, and each quorum's bit pattern
-        self.bits = [()] + [tuple(1 << (a * pool + b - 1) for a in range(j))
-                            for b in range(1, pool + 1)]
+        # per round b: each acceptor's bit in a mask, and each quorum's pattern
+        bits = [()] + [tuple(1 << (a * pool + b - 1) for a in range(j))
+                       for b in range(1, pool + 1)]
         self.quorums = [()] + [
-            tuple(sum(bits[index[a]] for a in q) for q in config.quorums)
-            for bits in self.bits[1:]]
-        self.round_bits = [0] + [sum(bits) for bits in self.bits[1:]]
+            tuple(sum(bs[index[a]] for a in q) for q in config.quorums)
+            for bs in bits[1:]]
+        self.round_bits = [0] + [sum(bs) for bs in bits[1:]]
         self.quorate = {}   # round-masked pattern -> holds a quorum
-        # per round b: the names of each acceptor's promise and vote moves
-        self.promise_names = [()] + [tuple(("promise", a, b) for a in range(j))
-                                     for b in range(1, pool + 1)]
-        self.vote_names = [()] + [tuple(("vote", a, b) for a in range(j))
-                                  for b in range(1, pool + 1)]
+        # per round b: each acceptor's promise and vote, as (name, bit)
+        self.promise_moves = [()] + [
+            tuple((("promise", a, b), 1 << self.promise_at + a * pool + b - 1)
+                  for a in range(j)) for b in range(1, pool + 1)]
+        self.vote_moves = [()] + [
+            tuple((("vote", a, b), 1 << self.vote_at + a * pool + b - 1)
+                  for a in range(j)) for b in range(1, pool + 1)]
+        self.head_mask = (1 << self.promise_at) - 1   # nb and every maxbal
+        self.heads = {}   # head -> the promises and votes its maxbal allows
+        # per round b: its accepted field in place, and where the field starts
+        self.accept_field = [0] + [self.code_mask << self.accept_at + (b - 1) * f
+                                   for b in range(1, pool + 1)]
+        self.accept_shift = [0] + [self.accept_at + (b - 1) * f for b in range(1, pool + 1)]
+        self.elect_names = [None] + [("elect", b) for b in range(1, pool + 1)]
+        self.accept_names = [None] + [("accept", b) for b in range(1, pool + 1)]
         proposers = config.proposers
         self.owner = [None] + [
             rnd[1] if isinstance(rnd, tuple) and rnd[1] in proposers
             else proposers[k % len(proposers)]
             for k, rnd in enumerate(self.rounds)]
-        self.owner_value = [None] + [
-            config.values[proposers.index(p) % len(config.values)]
-            for p in self.owner[1:]]
+        # the code of each round owner's own value
+        self.owner_code = [0] + [proposers.index(p) % nv + 1 for p in self.owner[1:]]
         self.next_own = [pool + 1] * (pool + 1)
         if discipline == "owned":
             upcoming = {}
@@ -171,95 +220,124 @@ class _Kernel:
                 self.next_own[b] = upcoming.get(self.owner[b], pool + 1)
                 upcoming[self.owner[b]] = b
         self.learners = proposers if discipline == "owned" else (None,)
-        nv = len(config.values)
-        self.learn_bits = {v: tuple(1 << (k * nv + m) for k in range(len(self.learners)))
-                           for m, v in enumerate(config.values)}
-        # (rounds started, maxbal, promise mask, accepted value per round,
-        #  vote mask, learned mask)
-        self.initial = (0, (0,) * j, 0, (), 0, 0)
+        self.learn_bits = {v: tuple(1 << (self.learn_at + k * nv + m)
+                                    for k in range(len(self.learners)))
+                           for m, v in enumerate(values)}
+        self.initial = 0
 
-    def members(self, mask: int, b: int) -> list:
-        """Acceptors whose bit for round b is set in the mask."""
-        bits = self.bits[b]
-        return [a for a in range(self.j) if mask & bits[a]]
+    def _head(self, head: int) -> tuple:
+        """The promises and votes that a head, nb and every maxbal, allows
+        per round b up to nb: (name, delta) for a promise, (name, vote bit,
+        delta) for a vote, the successor being the state plus delta, which
+        swaps maxbal[a] for b and sets the move's bit."""
+        nb = head & self.round_mask
+        promises, votes = [()], [()]
+        for b in range(1, nb + 1):
+            ps, vs = [], []
+            for at, (promise, pbit), (vote, vbit) in zip(
+                    self.maxbal_at, self.promise_moves[b], self.vote_moves[b]):
+                mb = head >> at & self.round_mask
+                delta = (b - mb) << at
+                if mb < b:
+                    ps.append((promise, delta + pbit))
+                if mb <= b:
+                    vs.append((vote, vbit, delta + vbit))
+            promises.append(tuple(ps))
+            votes.append(tuple(vs))
+        row = self.heads[head] = (promises, votes)
+        return row
 
     def quorum(self, mask: int, b: int) -> bool:
+        """Whether the acceptors whose round-b bit (a*pool + b-1) is set in
+        the mask hold a quorum."""
         m = mask & self.round_bits[b]
         hit = self.quorate.get(m)
         if hit is None:
             hit = self.quorate[m] = any(m & q == q for q in self.quorums[b])
         return hit
 
-    def accept_value(self, pmask: int, vmask: int, accepted: tuple, b: int):
-        """The 1b rule: the value of the latest round below b in which a
-        promiser of b voted, else the owner's own value.  Votes below b can
-        only precede a promise of b, so the current vote mask gives exactly
-        the prior votes the promises reported."""
+    def accept_value(self, st: int, b: int) -> int:
+        """The 1b rule, as an accepted field's code: the value of the latest
+        round below b in which a promiser of b voted, else the owner's own
+        value.  Votes below b can only precede a promise of b, so the
+        state's vote mask gives exactly the prior votes the promises
+        reported; a promiser's latest is the bit length of its vote bits
+        below b."""
+        below = (1 << (b - 1)) - 1
         prior = 0
-        for a in self.members(pmask, b):
-            for b0 in range(b - 1, prior, -1):
-                if vmask & self.bits[b0][a]:
-                    prior = b0
-                    break
-        return accepted[prior - 1] if prior else self.owner_value[b]
+        for a, (_name, bit) in enumerate(self.promise_moves[b]):
+            if st & bit:
+                latest = (st >> self.vote_at + a * self.pool & below).bit_length()
+                if latest > prior:
+                    prior = latest
+        if prior:
+            return st >> self.accept_shift[prior] & self.code_mask
+        return self.owner_code[b]
 
-    def chosen(self, st) -> dict:
+    def chosen(self, st: int) -> dict:
         """Each value a same-round vote quorum chose, mapped to the first
         round that chose it, in round order."""
-        nb, _maxbal, _pmask, accepted, vmask, _learned = st
         out = {}
-        for b in range(1, nb + 1):
-            v = accepted[b - 1]
-            if v is not None and v not in out and self.quorum(vmask, b):
-                out[v] = b
+        if st & self.vote_field:   # no votes, nothing chosen
+            accepted = st >> self.accept_at & self.accepted_mask
+            votes, codes, quorate = st >> self.vote_at, self.codes, self.quorate
+            f, code_mask, round_bits = self.accept_width, self.code_mask, self.round_bits
+            b = 1
+            while accepted:
+                code = accepted & code_mask
+                if code:
+                    v = codes[code]
+                    if v not in out:   # `quorum`, inlined: this runs on every state
+                        hit = quorate.get(votes & round_bits[b])
+                        if hit is None:
+                            hit = self.quorum(votes, b)
+                        if hit:
+                            out[v] = b
+                accepted >>= f
+                b += 1
         return out
 
-    def moves(self, st, chosen) -> list:
+    def moves(self, st: int, chosen) -> list:
         """(name, successor) for every move from ``st`` that the discipline
-        allows, given its `chosen` values: an election of the next round, a
-        promise, an accept, a vote, and a learn of a chosen value by each
-        learner that has not learned it.  Rounds start in ascending order,
-        and messages are read from a pool, so delivery interleavings stay
-        out of the state."""
-        nb, maxbal, pmask, accepted, vmask, learned = st
-        stable, acceptors = self.stable, range(self.j)
+        allows, given its `chosen` values: an election of the next round,
+        promises by round then acceptor, accepts by round, votes by round
+        then acceptor, and a learn of a chosen value by each learner that
+        has not learned it.  Rounds start in ascending order, and messages
+        are read from a pool, so delivery interleavings stay out of the
+        state."""
+        nb = st & self.round_mask
+        stable, accept_field = self.stable, self.accept_field
+        head = st & self.head_mask
+        head_promises, head_votes = self.heads.get(head) or self._head(head)
         out = []
         if nb < self.pool:
-            out.append((("elect", nb + 1),
-                        (nb + 1, maxbal, pmask, accepted + (None,), vmask, learned)))
+            out.append((self.elect_names[nb + 1], st + 1))
+        pmask = st >> self.promise_at
         # the lowest round that may be promised, and that may accept or vote
         low = newest = 1
         if stable and nb:
-            low = newest = nb
-            while low > 1 and accepted[low - 1] is None:
-                low -= 1
+            newest = nb
+            low = (st >> self.accept_at & self.accepted_mask).bit_length() or 1
         for b in range(low, nb + 1):
             if stable and b != nb and self.quorum(pmask, b):
                 continue
-            bits, names = self.bits[b], self.promise_names[b]
-            for a in acceptors:
-                if maxbal[a] < b:
-                    nm = maxbal[:a] + (b,) + maxbal[a + 1:]
-                    out.append((names[a], (nb, nm, pmask | bits[a], accepted, vmask, learned)))
+            for name, delta in head_promises[b]:
+                out.append((name, st + delta))
         for b in range(newest, nb + 1):
-            if (accepted[b - 1] is None and nb < self.next_own[b]
+            if (not st & accept_field[b] and nb < self.next_own[b]
                     and self.quorum(pmask, b)):
-                value = True if stable else self.accept_value(pmask, vmask, accepted, b)
-                acc = accepted[:b - 1] + (value,) + accepted[b:]
-                out.append((("accept", b), (nb, maxbal, pmask, acc, vmask, learned)))
+                code = 1 if stable else self.accept_value(st, b)
+                out.append((self.accept_names[b], st | code << self.accept_shift[b]))
         for b in range(newest, nb + 1):
-            if accepted[b - 1] is not None:
-                bits, names = self.bits[b], self.vote_names[b]
-                for a in acceptors:
-                    if maxbal[a] <= b and not vmask & bits[a]:
-                        nm = maxbal[:a] + (b,) + maxbal[a + 1:]
-                        out.append((names[a], (nb, nm, pmask, accepted, vmask | bits[a], learned)))
+            if st & accept_field[b]:
+                for name, bit, delta in head_votes[b]:
+                    if not st & bit:
+                        out.append((name, st + delta))
         if not stable:   # a stable accept records True, which nobody learns
             for v, b in chosen.items():
                 for learner, bit in zip(self.learners, self.learn_bits[v]):
-                    if not learned & bit:
-                        out.append((("learn", learner, b, v),
-                                    (nb, maxbal, pmask, accepted, vmask, learned | bit)))
+                    if not st & bit:
+                        out.append((("learn", learner, b, v), st | bit))
         return out
 
     def owing_processes(self, moves):
@@ -299,9 +377,7 @@ def explore(config: SystemConfig, stable_start: int,
     silently.
 
     It keeps its own loop rather than `_search`: it reads no chosen values,
-    prunes the election by tick and needs no paths.  A prototype routed
-    through `_search` peaked at 61.4 MB instead of 40.9 MB on the
-    `make_config(3, 4)` sweep over x = 0..4, and took 4.5 s, not 2.9 s.
+    prunes the election by tick and needs no paths.
     """
     if stable_start < 0:
         raise ValueError("stable_start must be non-negative")
@@ -314,6 +390,7 @@ def explore(config: SystemConfig, stable_start: int,
     # tick: each level of the search is one tick, keyed on the bare kernel
     # state, and is dropped once the next one is built.
     level = [k.initial]
+    round_mask, votes_at = k.round_mask, k.vote_at
     tick = 0
     generated, distinct = 0, 1   # the initial state counts as distinct
     best: Optional[int] = None
@@ -322,7 +399,7 @@ def explore(config: SystemConfig, stable_start: int,
         nxt = []
         for st in level:
             succ = k.moves(st, {})
-            if tick > x and st[0] < k.pool:
+            if tick > x and st & round_mask < k.pool:
                 del succ[0]   # the election; moves lists it first
             generated += len(succ)
             if not succ:
@@ -341,7 +418,7 @@ def explore(config: SystemConfig, stable_start: int,
                 # in the newest round) changes the vote mask: a successor
                 # reached consensus exactly when its newest round holds a
                 # vote quorum.
-                if k.quorum(s[4], s[0]):
+                if k.quorum(s >> votes_at, s & round_mask):
                     best = tick + 1
                 else:
                     nxt.append(s)
@@ -516,7 +593,8 @@ def _crashes_admissible(kernel: _Kernel, server: str, state, crash) -> bool:
     if not any(q <= alive for q in kernel.config.quorums):
         return False
     if server in ("P-Alw-Q", "PQ-Alw"):
-        claimant = kernel.owner[state[0]] if state[0] else None
+        nb = state & kernel.round_mask
+        claimant = kernel.owner[nb] if nb else None
         if claimant in crash:
             return False
     return True
@@ -552,7 +630,7 @@ def check_liveness_lasso(config: SystemConfig, link: CatalogId,
         if name == "Each-Vote":
             return not chosen
         if name == "Some-Learn":
-            return not state[5]
+            return not state >> k.learn_at
         return True
 
     explored = 0
@@ -562,7 +640,7 @@ def check_liveness_lasso(config: SystemConfig, link: CatalogId,
         """Try to close the path to `state` into a counterexample."""
         nonlocal explored, found
         explored += 1
-        if state[0] == 0 or not violation_plausible(state, chosen):
+        if not state & k.round_mask or not violation_plausible(state, chosen):
             return False  # unstarted (not adversarial) or cannot fail the assertion
         acceptors_owing, proposers_owing = k.owing_processes(moves)
         if raw_link:

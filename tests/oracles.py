@@ -4,8 +4,9 @@
 state list: no lasso arithmetic, no horizon capping, just loops up to the
 end of the supplied states with three-valued tail handling.  It is kept
 separate from the production evaluator so the two can check each other.
-`naive_quorum` and `retest_consensus` are the checker kernel's quorum and
-consensus tests written as plain subset tests over acceptor names.
+`kernel_fields` decodes a checker kernel state, one int, into its fields;
+`naive_quorum` and `retest_consensus` are the kernel's quorum and consensus
+tests written as plain subset tests over acceptor names.
 `naive_facts` reads a machine state's protocol facts off its full histories
 in one pass, where the machine derives them from the parent state.
 `scan_projection`, `machine_projections` and `realized_owned_states` are the
@@ -376,11 +377,33 @@ def random_expr(rng: random.Random, depth: int = 4, bound=None):
 
 
 # ---------------------------------------------------------------------------
-# the checker kernel's quorum tests
+# the checker kernel's states and quorum tests
+
+def kernel_fields(kernel, st: int) -> tuple:
+    """A checker kernel state decoded into (rounds started, each acceptor's
+    highest round, promise mask, accepted value per started round, vote
+    mask, learned mask), with acceptor a's round-b bit at a*pool + b-1 in
+    both masks.  It reads only the kernel's field offsets and widths, and
+    raises ValueError if a round not yet started holds an accept, the one
+    part of the int the fields leave out."""
+    pool, w, f = kernel.pool, kernel.width, kernel.accept_width
+    mask = (1 << kernel.j * pool) - 1
+    nb = st & (1 << w) - 1
+    maxbal = tuple(st >> at & (1 << w) - 1 for at in kernel.maxbal_at)
+    codes = [st >> kernel.accept_at + f * b & (1 << f) - 1 for b in range(pool)]
+    if any(codes[nb:]):
+        raise ValueError(f"an accept in a round above {nb}: {codes}")
+    values = (True,) if kernel.stable else kernel.config.values
+    accepted = tuple(values[c - 1] if c else None for c in codes[:nb])
+    return (nb, maxbal, st >> kernel.promise_at & mask, accepted,
+            st >> kernel.vote_at & mask, st >> kernel.learn_at)
+
 
 def naive_quorum(kernel, mask: int, b: int) -> bool:
     """Whether the acceptors whose round-b bit (a*pool + b-1) is set in
-    ``mask`` include a quorum of the kernel's config."""
+    ``mask`` include a quorum of the kernel's config.  `kernel_fields`
+    decodes the promise and vote masks in this layout, and the kernel's own
+    quorum test takes them shifted down to it."""
     config = kernel.config
     members = {name for a, name in enumerate(config.acceptors)
                if mask >> (a * kernel.pool + b - 1) & 1}
@@ -440,12 +463,13 @@ def naive_facts(state) -> dict:
 # the referee between the machine and the checker's bitmask kernel
 
 def scan_projection(state) -> tuple:
-    """The `safety_scan` kernel state of a machine state, read off its
-    histories: the index of the highest round whose prepare (1a) was sent
-    among the sorted rounds, each acceptor's highest round, the promise
-    (1b) bits sent, the value each started round's accept (2a) carried,
-    the vote bits and the learned values, whoever learned them.  Acceptor
-    a's bit for round b is a*pool + b-1, as in the kernel."""
+    """The `safety_scan` kernel state of a machine state, in the fields
+    `kernel_fields` decodes, read off its histories: the index of the
+    highest round whose prepare (1a) was sent among the sorted rounds, each
+    acceptor's highest round, the promise (1b) bits sent, the value each
+    started round's accept (2a) carried, the vote bits and the learned
+    values, whoever learned them.  Acceptor a's bit for round b is
+    a*pool + b-1, as `kernel_fields` decodes it."""
     config, obs = state.config, state.obs
     rounds = sorted(config.rounds)
     pool = len(rounds)
@@ -469,14 +493,16 @@ def scan_projection(state) -> tuple:
             pmask, tuple(accepted.get(b) for b in range(1, nb + 1)), vmask, learned)
 
 
-def fold_learners(state, n_values: int) -> tuple:
-    """An owned-kernel state with every learner's learned bits folded onto
-    the value bits, which makes it a scan-kernel state."""
-    learned, values = state[5], 0
+def fold_learners(kernel, st: int) -> tuple:
+    """An owned-kernel state's fields with every learner's learned bits
+    folded onto the value bits, which makes them a scan-kernel state's."""
+    fields = kernel_fields(kernel, st)
+    n_values = len(kernel.config.values)
+    learned, values = fields[5], 0
     while learned:
         values |= learned & ((1 << n_values) - 1)
         learned >>= n_values
-    return state[:5] + (values,)
+    return fields[:5] + (values,)
 
 
 #: the machine actions the soundness search leaves out; none of them sends
@@ -508,10 +534,9 @@ def machine_projections(config, depth: int):
 def realized_owned_states(config) -> list:
     """Every state of the owned kernel, in `_search`'s order, realized on
     the machine by `_realize` along its search path with the leftover
-    messages dropped: a list of (the state with learners folded, the scan
-    projection of the realized run's last state)."""
+    messages dropped: a list of (the state's fields with learners folded,
+    the scan projection of the realized run's last state)."""
     k = checker._Kernel(config, "owned")
-    n_values = len(config.values)
     pairs = []
 
     def visit(st, _chosen, _moves, path) -> bool:
@@ -520,7 +545,7 @@ def realized_owned_states(config) -> list:
             name, path = path
             names.append(name)
         states = checker._realize(config, k, reversed(names), True, set())
-        pairs.append((fold_learners(st, n_values), scan_projection(states[-1])))
+        pairs.append((fold_learners(k, st), scan_projection(states[-1])))
         return False
 
     checker._search(k, visit, 10**6)

@@ -69,6 +69,23 @@ def test_formula_reproduction(grid_runs):
            f"2P3A={got[(2, 3)]} 3P4A={got[(3, 4)]}")
 
 
+#: (states generated, distinct states) at x = 0..i+1, the largest searches
+#: of the grid; nothing else in tier-1 pins the (3,4) counts at x = 3 and 4
+GRID_COUNTS = {
+    (3, 3): [(62, 37), (526, 289), (3915, 2053), (28196, 14401), (28468, 14545)],
+    (3, 4): [(206, 92), (3506, 1457), (54788, 21932), (838294, 329057),
+             (838338, 329057)],
+}
+
+
+def test_grid_state_counts(grid_runs):
+    for (i, j), counts in GRID_COUNTS.items():
+        got = [(grid_runs[(i, j, x)].states_generated,
+                grid_runs[(i, j, x)].distinct_states) for x in range(i + 2)]
+        assert got == counts, (i, j)
+    report("grid-state-counts", f"(3,4) at x=4: {GRID_COUNTS[(3, 4)][-1]}")
+
+
 def test_plateau_and_slope(grid_runs):
     """length(x+1) - length(x) is exactly j below the inflection, 0 after."""
     for (i, j) in GRID:

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import re
 import sys
 from collections import deque
@@ -17,8 +18,8 @@ from livenesslab.catalog import build
 from livenesslab.tracefile import trace_to_text
 
 from oracles import (
-    fold_learners, machine_projections, naive_quorum, realized_owned_states,
-    retest_consensus,
+    fold_learners, kernel_fields, machine_projections, naive_quorum,
+    realized_owned_states, retest_consensus,
 )
 
 
@@ -82,6 +83,13 @@ def test_explore_rejects_negative_start_and_tiny_budget():
         explore(cfg, -1)
     with pytest.raises(BudgetExceeded):
         explore(cfg, 2, max_states=50)
+
+
+def test_budget_exceeded_survives_a_pickle_round_trip():
+    exc = pickle.loads(pickle.dumps(BudgetExceeded("state", 10)))
+    assert type(exc) is BudgetExceeded
+    assert (exc.what, exc.limit, str(exc)) == (
+        "state", 10, "exceeded the state budget of 10")
 
 
 def test_explore_budgets_are_exact(monkeypatch):
@@ -268,9 +276,9 @@ def _kernel_bfs(kernel):
     return seen, generated, order
 
 
-def _depth(st) -> int:
+def _depth(kernel, st) -> int:
     """Rounds started plus promises, accepts, votes and learns made."""
-    nb, _maxbal, pmask, accepted, vmask, learned = st
+    nb, _maxbal, pmask, accepted, vmask, learned = kernel_fields(kernel, st)
     return (nb + pmask.bit_count() + sum(v is not None for v in accepted)
             + vmask.bit_count() + learned.bit_count())
 
@@ -286,11 +294,56 @@ def test_kernel_moves_are_graded():
             (make_config(2, 3), "stable", (127977, 65641))):
         k = checker._Kernel(cfg, discipline)
         _seen, generated, order = _kernel_bfs(k)
-        assert _depth(k.initial) == 0
+        assert _depth(k, k.initial) == 0
         for st in order:
-            assert all(_depth(s) == _depth(st) + 1
+            assert all(_depth(k, s) == _depth(k, st) + 1
                        for _name, s in k.moves(st, k.chosen(st))), (discipline, st)
         assert (generated, len(order)) == counts, discipline
+
+
+def test_no_move_carries_into_a_neighbouring_field():
+    # each move changes exactly the fields its name says; under "stable" on
+    # make_config(2, 3) the pool is 3, so maxbal fills its 2-bit field
+    for cfg, discipline in ((competing_rounds_config(1, 3), "scan"),
+                            (competing_rounds_config(2, 2), "scan"),
+                            (competing_rounds_config(1, 3), "owned"),
+                            (competing_rounds_config(2, 2), "owned"),
+                            (make_config(2, 3), "stable")):
+        k = checker._Kernel(cfg, discipline)
+        if k.stable:
+            assert (k.pool, k.width) == (3, 2)
+        learners = cfg.proposers if discipline == "owned" else (None,)
+        nv = len(cfg.values)
+        _seen, _generated, order = _kernel_bfs(k)
+        for st in order:
+            nb, maxbal, pmask, accepted, vmask, learned = kernel_fields(k, st)
+            for name, s in k.moves(st, k.chosen(st)):
+                want = [nb, list(maxbal), pmask, list(accepted), vmask, learned]
+                op = name[0]
+                if op == "elect":
+                    assert name[1] == nb + 1
+                    want[0] = name[1]
+                    want[3].append(None)
+                elif op in ("promise", "vote"):
+                    _op, a, b = name
+                    bit = 1 << (a * k.pool + b - 1)
+                    field = 2 if op == "promise" else 4
+                    assert not want[field] & bit, name
+                    want[1][a] = b
+                    want[field] |= bit
+                elif op == "accept":
+                    b = name[1]
+                    assert accepted[b - 1] is None, name
+                    want[3][b - 1] = kernel_fields(k, s)[3][b - 1]
+                    assert want[3][b - 1] in ((True,) if k.stable else cfg.values)
+                else:
+                    _op, learner, _b, v = name
+                    bit = 1 << (learners.index(learner) * nv + cfg.values.index(v))
+                    assert not learned & bit, name
+                    want[5] |= bit
+                assert kernel_fields(k, s) == (
+                    want[0], tuple(want[1]), want[2], tuple(want[3]), want[4],
+                    want[5]), (discipline, name, kernel_fields(k, st))
 
 
 def test_search_visits_states_in_fifo_order():
@@ -334,12 +387,13 @@ def test_owned_moves_reach_the_scan_states_once_learners_fold():
     # cannot reach
     for cfg, n_owned in ((competing_rounds_config(1, 3), 2681),
                          (competing_rounds_config(2, 2), 1140)):
-        scan, generated, _order = _kernel_bfs(checker._Kernel(cfg, "scan"))
+        scan_kernel, owned_kernel = (checker._Kernel(cfg, d) for d in ("scan", "owned"))
+        scan, generated, _order = _kernel_bfs(scan_kernel)
         rep = safety_scan(cfg)
         assert (len(scan), generated) == (rep.distinct_states, rep.states_generated)
-        owned, _generated, _order = _kernel_bfs(checker._Kernel(cfg, "owned"))
-        nv = len(cfg.values)
-        assert {fold_learners(st, nv) for st in owned} == scan
+        scan = {kernel_fields(scan_kernel, st) for st in scan}
+        owned, _generated, _order = _kernel_bfs(owned_kernel)
+        assert {fold_learners(owned_kernel, st) for st in owned} == scan
         realized = realized_owned_states(cfg)
         assert len(realized) == len(owned) == n_owned
         assert [pair for pair in realized if pair[0] != pair[1]] == []
@@ -354,8 +408,9 @@ def test_referee_machine_projections_lie_in_the_scan_states():
                              (competing_rounds_config(2, 3), 10, (21394, 1498))):
         n_states, projections = machine_projections(cfg, depth)
         assert (n_states, len(projections)) == pins, cfg
-        scan, _generated, _order = _kernel_bfs(checker._Kernel(cfg, "scan"))
-        assert projections - scan == set(), cfg
+        k = checker._Kernel(cfg, "scan")
+        scan, _generated, _order = _kernel_bfs(k)
+        assert projections - {kernel_fields(k, st) for st in scan} == set(), cfg
 
 
 def test_lasso_search_fair_alwq_somelearn_counterexample():

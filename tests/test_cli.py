@@ -7,6 +7,9 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -461,6 +464,20 @@ def test_modelcheck_over_its_budget_exits_3(capsys):
                          "3", "--start", "2", "--max-states", "10")
     assert (code, out) == (3, "")
     assert err.startswith("budget exceeded:")
+
+
+def test_modelcheck_over_its_budget_in_a_worker_exits_3():
+    # a real process pool, which pickles the worker's BudgetExceeded back
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "livenesslab.cli", "modelcheck", "--proposers", "2",
+         "--acceptors", "3", "--start", "0", "1", "--jobs", "2", "--max-states", "10"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path})
+    assert (done.returncode, done.stdout) == (3, "")
+    assert "budget exceeded: exceeded the state budget of 10" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_simulate_of_an_unrealizable_target_exits_3(capsys):

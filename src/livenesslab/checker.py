@@ -3,7 +3,8 @@ oracle it must reproduce, an exhaustive safety scan, and a bounded search
 for liveness counterexample lassos.  All three searches run one move
 relation of single-decree Paxos over one int per state, `_Kernel.moves`,
 each under its own discipline; `safety_scan` and the lasso search share
-one breadth-first search, `_search`, whose paths are chains of move names.
+one breadth-first search, `_search`, which records every state's path in a
+`_Trail`: its parent's index and its move's position, by discovery order.
 
 The stable-duration explorer counts one tick per action and constrains
 leader elections to the unstable window: an election (adopting the next
@@ -20,6 +21,7 @@ acceptors.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -439,30 +441,57 @@ def explore(config: SystemConfig, stable_start: int,
 # ---------------------------------------------------------------------------
 # the shared search of safety_scan and the lasso search
 
-def _search(k: _Kernel, visit, max_states: int):
-    """Breadth-first search over `k.moves`, visiting each state with its
-    chosen values, its moves and its path, a linked cell (move name, parent
-    cell) or None; `visit` returns True to end the search.  Returns (states
-    generated, distinct states).
+class _Trail:
+    """Every state's search path, indexed by discovery order, the initial
+    state at 0: two columns, the index of the state's parent and the
+    position of the state's move in its parent's `moves`.  A path is
+    spelled by walking the parents back to 0 and replaying the moves
+    forward from the initial state."""
+
+    def __init__(self, k: _Kernel):
+        self.kernel = k
+        self.parent = array("I", [0])
+        self.pick = array("I", [0])
+
+    def names(self, at: int) -> list:
+        """The move names on the path to the state discovered at ``at``."""
+        picks = []
+        while at:
+            picks.append(self.pick[at])
+            at = self.parent[at]
+        k, st, names = self.kernel, self.kernel.initial, []
+        for pick in reversed(picks):
+            name, st = k.moves(st, k.chosen(st))[pick]
+            names.append(name)
+        return names
+
+
+def _search(trail: _Trail, visit, max_states: int):
+    """Breadth-first search over the trail's kernel's `moves`, visiting
+    each state with its chosen values, its moves and its discovery index,
+    under which the trail records its path; `visit` returns True to end
+    the search.  Returns (states generated, distinct states).
 
     Every move adds one unit to the state (a round, a promise, an accepted
     entry, a vote or a learned bit), so all paths to a state have the same
     length: a `seen` set per level visits the states in the order a global
-    one would, and each level, states and paths in parallel lists, is
-    dropped once the next one is built.
+    one would, and each level is dropped once the next one is built.  A
+    level's discovery indices are contiguous, from `start`.
     """
-    level, paths = [k.initial], [None]
+    k = trail.kernel
+    parent, pick = trail.parent.append, trail.pick.append
+    level, start = [k.initial], 0
     generated, distinct = 0, 1   # the initial state counts as distinct
     while level:
         seen = set()
-        nxt, nxt_paths = [], []
-        for st, path in zip(level, paths):
+        nxt = []
+        for at, st in enumerate(level, start):
             chosen = k.chosen(st)
             moves = k.moves(st, chosen)
-            if visit(st, chosen, moves, path):
+            if visit(st, chosen, moves, at):
                 return generated, distinct
             generated += len(moves)
-            for name, s in moves:
+            for position, (_name, s) in enumerate(moves):
                 if s in seen:
                     continue
                 if distinct >= max_states:
@@ -470,8 +499,10 @@ def _search(k: _Kernel, visit, max_states: int):
                 seen.add(s)
                 distinct += 1
                 nxt.append(s)
-                nxt_paths.append((name, path))
-        level, paths = nxt, nxt_paths
+                parent(at)
+                pick(position)
+        start += len(level)
+        level = nxt
     return generated, distinct
 
 
@@ -495,12 +526,12 @@ def safety_scan(config: SystemConfig, max_states: int = 2_000_000) -> SafetyRepo
     withdrawn."""
     violations = []
 
-    def visit(_st, chosen, _moves, _path) -> bool:
+    def visit(_st, chosen, _moves, _at) -> bool:
         if len(chosen) > 1:
             violations.append(f"values {sorted(chosen)} each gathered a vote quorum")
         return False
 
-    generated, distinct = _search(_Kernel(config, "scan"), visit, max_states)
+    generated, distinct = _search(_Trail(_Kernel(config, "scan")), visit, max_states)
     return SafetyReport(config, distinct, generated, tuple(violations))
 
 
@@ -633,10 +664,11 @@ def check_liveness_lasso(config: SystemConfig, link: CatalogId,
             return not state >> k.learn_at
         return True
 
+    trail = _Trail(k)
     explored = 0
     found = None
 
-    def visit(state, chosen, moves, path) -> bool:
+    def visit(state, chosen, moves, at) -> bool:
         """Try to close the path to `state` into a counterexample."""
         nonlocal explored, found
         explored += 1
@@ -651,11 +683,7 @@ def check_liveness_lasso(config: SystemConfig, link: CatalogId,
             crash = proposers_owing
         if not _crashes_admissible(k, server.name, state, crash):
             return False
-        names = []
-        while path is not None:
-            name, path = path
-            names.append(name)
-        states = _realize(config, k, reversed(names), raw_link, crash)
+        states = _realize(config, k, trail.names(at), raw_link, crash)
         trace = mc.trace_of(states, loop_start=len(states) - 1)
         if not eval_expr(assertion_expr, trace).is_violated:
             return False
@@ -667,7 +695,7 @@ def check_liveness_lasso(config: SystemConfig, link: CatalogId,
         return True
 
     try:
-        _search(k, visit, max_states)
+        _search(trail, visit, max_states)
     except BudgetExceeded:
         return LassoCheckResult("undetermined", None, explored, bound=max_states)
     if found is not None:

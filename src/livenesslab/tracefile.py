@@ -9,8 +9,10 @@ Each set and each element is encoded and decoded once per trace, because
 consecutive ticks share unchanged sets and a grown set keeps its elements.
 ``write_trace`` keeps each set's and element's text by object identity and
 ``read_trace`` keeps each list's and element's decoded form by its
-``repr``.  Neither memo is keyed by value: ``1``, ``1.0`` and ``true`` are
-equal as set elements and as lists, but are written differently.
+``marshal`` bytes (format 2, which writes no back-references), which tag
+every value with its type.  Neither memo is keyed by value: ``1``, ``1.0``
+and ``true`` are equal as set elements and as lists, but are written
+differently.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import marshal
 from typing import IO, Optional
 
 from .adversary import AssumptionTarget, Demand, Schedule
@@ -209,11 +212,11 @@ def read_trace(fp: IO[str]) -> Trace:
     line, header = records[0]
     config = _header_config(line, header)
     states = []
-    last = dict.fromkeys(_SET_FIELDS, (None, None))   # field -> (repr of its list, its set)
-    elements = {}       # repr of an element -> the element as tuples
+    last = dict.fromkeys(_SET_FIELDS, (None, None))   # field -> (key of its list, its set)
+    elements = {}       # key of an element -> the element as tuples
 
     def element(item):
-        key = repr(item)
+        key = marshal.dumps(item, 2)
         got = elements.get(key)
         if got is None:
             got = elements[key] = _frozen(item)
@@ -228,7 +231,7 @@ def read_trace(fp: IO[str]) -> Trace:
         for f, v in zip(_SET_FIELDS, values):
             if not isinstance(v, list):
                 raise TraceFormatError(n, f"{f} must be a list, got {v!r}")
-            keys.append(repr(v))
+            keys.append(marshal.dumps(v, 2))
             if keys[-1] == last[f][0]:
                 continue                # checked at the tick before
             arity = _ARITY[f]

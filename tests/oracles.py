@@ -537,16 +537,13 @@ def realized_owned_states(config) -> list:
     messages dropped: a list of (the state's fields with learners folded,
     the scan projection of the realized run's last state)."""
     k = checker._Kernel(config, "owned")
+    trail = checker._Trail(k)
     pairs = []
 
-    def visit(st, _chosen, _moves, path) -> bool:
-        names = []
-        while path is not None:
-            name, path = path
-            names.append(name)
-        states = checker._realize(config, k, reversed(names), True, set())
+    def visit(st, _chosen, _moves, at) -> bool:
+        states = checker._realize(config, k, trail.names(at), True, set())
         pairs.append((fold_learners(k, st), scan_projection(states[-1])))
         return False
 
-    checker._search(k, visit, 10**6)
+    checker._search(trail, visit, 10**6)
     return pairs

@@ -127,6 +127,17 @@ def test_explore_golden_counters():
         assert got == rows, (i, j)
 
 
+def test_explore_length_rises_past_the_closed_form_plateau():
+    # on (2,3) the closed form's plateau past x = i holds only up to x = 4:
+    # the length then rises one tick per x, to 16 at x = 7 and 8
+    cfg = make_config(2, 3)
+    runs = [explore(cfg, x) for x in range(9)]
+    assert [r.stable_length for r in runs] == [7, 10, 13, 13, 13, 14, 15, 16, 16]
+    assert [(r.states_generated, r.distinct_states) for r in runs] == [
+        (62, 37), (526, 289), (3915, 2053), (3924, 2053), (4187, 2197),
+        (6929, 3709), (13140, 7129), (17364, 9505), (20813, 11485)]
+
+
 def test_explore_deterministic_counters():
     cfg = make_config(2, 4)
     a = explore(cfg, 1)
@@ -260,9 +271,10 @@ def test_safety_scan_learns_two_chosen_values_in_first_choosing_round_order():
         "2abd39c19d9c373e0b5fd5330e81749c061bc04dba95eb68015b0f1d565afa84"
 
 
-def _kernel_bfs(kernel):
+def _kernel_bfs(kernel, max_states=10**6):
     """Every state `_Kernel.moves` reaches, the number of moves taken, and
-    the states in the order a FIFO search pops them."""
+    the states in the order a FIFO search pops them; raises BudgetExceeded
+    as `_search` does once a new state would exceed `max_states`."""
     seen, frontier, generated = {kernel.initial}, deque([kernel.initial]), 0
     order = []
     while frontier:
@@ -271,6 +283,8 @@ def _kernel_bfs(kernel):
         for _name, s in kernel.moves(st, kernel.chosen(st)):
             generated += 1
             if s not in seen:
+                if len(seen) >= max_states:
+                    raise BudgetExceeded("state", max_states)
                 seen.add(s)
                 frontier.append(s)
     return seen, generated, order
@@ -353,30 +367,46 @@ def test_search_visits_states_in_fifo_order():
         seen, generated, order = _kernel_bfs(k)
         visited = []
 
-        def visit(st, chosen, moves, _path):
+        def visit(st, chosen, moves, at):
             assert chosen == k.chosen(st) and moves == k.moves(st, chosen)
+            assert at == len(visited)   # the discovery index is the FIFO position
             visited.append(st)
             return False
 
-        assert checker._search(k, visit, 10**6) == (generated, len(seen))
+        assert checker._search(checker._Trail(k), visit, 10**6) == (generated, len(seen))
         assert visited == order
 
 
 def test_search_paths_spell_the_moves_to_each_state():
-    k = checker._Kernel(competing_rounds_config(1, 3), "owned")
+    # the trail's replayed names reach the state, and there are as many as
+    # the state's level
+    for cfg, discipline, n_states in ((competing_rounds_config(1, 3), "owned", 2681),
+                                      (competing_rounds_config(2, 2), "owned", 1140),
+                                      (competing_rounds_config(1, 3), "scan", 2681)):
+        k = checker._Kernel(cfg, discipline)
+        trail = checker._Trail(k)
+        spelled = []
 
-    def visit(st, _chosen, _moves, path):
-        names = []
-        while path is not None:
-            name, path = path
-            names.append(name)
-        replayed = k.initial
-        for name in reversed(names):
-            replayed = dict(k.moves(replayed, k.chosen(replayed)))[name]
-        assert replayed == st
-        return False
+        def visit(st, _chosen, _moves, at):
+            names = trail.names(at)
+            replayed = k.initial
+            for name in names:
+                replayed = dict(k.moves(replayed, k.chosen(replayed)))[name]
+            assert replayed == st, (discipline, names)
+            assert len(names) == _depth(k, st), (discipline, names)
+            spelled.append(st)
+            return False
 
-    checker._search(k, visit, 10**6)
+        checker._search(trail, visit, 10**6)
+        assert len(spelled) == len(trail.parent) == len(trail.pick) == n_states
+
+
+def test_kernel_bfs_budget_is_exact():
+    k = checker._Kernel(competing_rounds_config(1, 3), "scan")
+    assert len(_kernel_bfs(k, max_states=2681)[0]) == 2681
+    with pytest.raises(BudgetExceeded) as exc:
+        _kernel_bfs(k, max_states=2680)
+    assert (exc.value.what, exc.value.limit) == ("state", 2680)
 
 
 def test_owned_moves_reach_the_scan_states_once_learners_fold():

@@ -6,6 +6,13 @@ each under its own discipline; `safety_scan` and the lasso search share
 one breadth-first search, `_search`, which records every state's path in a
 `_Trail`: its parent's index and its move's position, by discovery order.
 
+`explore` and `safety_scan` keep one representative per orbit of the
+acceptor permutations that map the quorums onto themselves
+(`_Kernel.canon`), with the orbit's size.  Their counts stay those of every
+state: a renamed path is a path of the same length, so an orbit lies on one
+level, and its states have as many moves each.  The lasso search keeps
+singleton orbits, since it realizes the exact states it visits.
+
 The stable-duration explorer counts one tick per action and constrains
 leader elections to the unstable window: an election (adopting the next
 round and broadcasting its prepare, one action) may happen only while
@@ -82,12 +89,16 @@ class CheckRun:
     states_generated: int
     distinct_states: int
     elapsed_seconds: float
+    #: the acceptor-symmetry orbits the search kept one representative of
+    orbits: int = 0
 
     def __post_init__(self):
         if self.stable_length < self.stable_start:
             raise ValueError("stable_length below stable_start")
         if self.distinct_states > self.states_generated + 1:   # + the initial state
             raise ValueError("distinct states exceed generated states")
+        if self.orbits > self.distinct_states:
+            raise ValueError("orbits exceed distinct states")
 
 
 def competing_rounds_config(n_proposers: int, n_acceptors: int) -> SystemConfig:
@@ -160,6 +171,15 @@ class _Kernel:
     table.  Bits of different rounds never overlap, so a non-zero pattern
     names its round, and the table is filled on first use: at most
     pool * 2**j entries, far fewer in practice.
+
+    Renaming the acceptors maps the moves of "scan" and "stable" onto
+    moves, when it maps the quorums onto themselves: the 1b rule takes the
+    latest vote of any promiser, and no field but maxbal and the two masks
+    names an acceptor.  Such a kernel is `symmetric`, and `canon` sorts the
+    per-acceptor components into slot order.  An election, accept or learn
+    leaves every component as it was, so it keeps a representative
+    canonical, with the same orbit size; the searches canonicalize only
+    after promises and votes.
     """
 
     def __init__(self, config: SystemConfig, discipline: str):
@@ -226,6 +246,27 @@ class _Kernel:
                                     for k in range(len(self.learners)))
                            for m, v in enumerate(values)}
         self.initial = 0
+        # The adjacent transpositions generate every acceptor permutation, so
+        # j - 1 swaps decide whether all of them map the quorums onto
+        # themselves.  "owned" moves are as symmetric, but the lasso search
+        # realizes the states it visits and its order is pinned, so it keeps
+        # singleton orbits.
+        quorums = set(config.quorums)
+        acceptors = config.acceptors
+        self.symmetric = discipline != "owned" and all(
+            {frozenset(swap.get(a, a) for a in q) for q in quorums} == quorums
+            for swap in ({x: y, y: x} for x, y in zip(acceptors, acceptors[1:])))
+        if self.symmetric:
+            self.row_mask = (1 << pool) - 1   # one acceptor's promise or vote row
+            #: per slot a: where maxbal[a], a's promise row and a's vote row sit
+            self.slots = tuple((at, self.promise_at + a * pool, self.vote_at + a * pool)
+                               for a, at in enumerate(self.maxbal_at))
+            self.acceptor_mask = (
+                (self.head_mask ^ self.round_mask) | self.vote_field
+                | ((1 << j * pool) - 1) << self.promise_at)
+            self.orbit_max = 1   # j!, the size of an orbit of j unlike acceptors
+            for n in range(2, j + 1):
+                self.orbit_max *= n
 
     def _head(self, head: int) -> tuple:
         """The promises and votes that a head, nb and every maxbal, allows
@@ -248,6 +289,33 @@ class _Kernel:
             votes.append(tuple(vs))
         row = self.heads[head] = (promises, votes)
         return row
+
+    def canon(self, st: int) -> tuple:
+        """(representative, orbit size) of the state's orbit under acceptor
+        permutations: the per-acceptor components (maxbal[a], a's promise
+        row, a's vote row) sorted into slot order, largest first, and j!
+        over the product of the factorials of their multiplicities.  A
+        kernel that is not `symmetric` ("owned", or quorums that some
+        permutation does not preserve) has singleton orbits."""
+        if not self.symmetric:
+            return st, 1
+        rm, row, pool = self.round_mask, self.row_mask, self.pool
+        two = pool + pool
+        keys = [(st >> m & rm) << two | (st >> p & row) << pool | st >> v & row
+                for m, p, v in self.slots]
+        ordered = sorted(keys, reverse=True)
+        if ordered != keys:
+            st &= ~self.acceptor_mask
+            for (m, p, v), key in zip(self.slots, ordered):
+                st |= (key >> two) << m | (key >> pool & row) << p | (key & row) << v
+        weight, run = self.orbit_max, 1
+        for a in range(1, self.j):
+            if ordered[a] == ordered[a - 1]:
+                run += 1
+                weight //= run
+            else:
+                run = 1
+        return st, weight
 
     def quorum(self, mask: int, b: int) -> bool:
         """Whether the acceptors whose round-b bit (a*pool + b-1) is set in
@@ -390,31 +458,37 @@ def explore(config: SystemConfig, stable_start: int,
 
     # Every move costs one tick, so a state can only meet states of its own
     # tick: each level of the search is one tick, keyed on the bare kernel
-    # state, and is dropped once the next one is built.
-    level = [k.initial]
+    # state of each representative, and is dropped once the next one is built.
+    level = {k.initial: 1}   # representative -> orbit size
     round_mask, votes_at = k.round_mask, k.vote_at
+    canon, symmetric = k.canon, k.symmetric
     tick = 0
-    generated, distinct = 0, 1   # the initial state counts as distinct
+    generated, distinct, orbits = 0, 1, 1   # the initial state counts as distinct
     best: Optional[int] = None
     while level:
         seen = set()
-        nxt = []
-        for st in level:
+        nxt = {}
+        for st, weight in level.items():
             succ = k.moves(st, {})
             if tick > x and st & round_mask < k.pool:
                 del succ[0]   # the election; moves lists it first
-            generated += len(succ)
+            generated += weight * len(succ)
             if not succ:
                 raise NoConsensusPath(f"stuck without consensus at tick {tick}")
-            for _name, s in succ:
+            for name, s in succ:
+                w = weight   # other moves keep a representative canonical
+                if symmetric and name[0] in ("promise", "vote"):
+                    s, w = canon(s)
                 if s in seen:
                     continue
-                if distinct >= max_states:
+                if distinct + w > max_states or tick >= tick_cap:
+                    # the unreduced search raised on its first state past
+                    # either budget, checking the state budget first
+                    if tick >= tick_cap and distinct < max_states:
+                        raise BudgetExceeded("tick", tick_cap)
                     raise BudgetExceeded("state", max_states)
-                if tick + 1 > tick_cap:
-                    raise BudgetExceeded("tick", tick_cap)
                 seen.add(s)
-                distinct += 1
+                distinct += w
                 # A state with a vote quorum is never expanded, so no level
                 # state has a quorum in any round, and only a vote (always
                 # in the newest round) changes the vote mask: a successor
@@ -423,7 +497,8 @@ def explore(config: SystemConfig, stable_start: int,
                 if k.quorum(s >> votes_at, s & round_mask):
                     best = tick + 1
                 else:
-                    nxt.append(s)
+                    nxt[s] = w
+        orbits += len(seen)
         level = nxt
         tick += 1
     if best is None:
@@ -435,6 +510,7 @@ def explore(config: SystemConfig, stable_start: int,
         states_generated=generated,
         distinct_states=distinct,
         elapsed_seconds=time.perf_counter() - t0,
+        orbits=orbits,
     )
 
 
@@ -462,15 +538,18 @@ class _Trail:
         k, st, names = self.kernel, self.kernel.initial, []
         for pick in reversed(picks):
             name, st = k.moves(st, k.chosen(st))[pick]
+            st = k.canon(st)[0]
             names.append(name)
         return names
 
 
 def _search(trail: _Trail, visit, max_states: int):
     """Breadth-first search over the trail's kernel's `moves`, visiting
-    each state with its chosen values, its moves and its discovery index,
-    under which the trail records its path; `visit` returns True to end
-    the search.  Returns (states generated, distinct states).
+    one representative per acceptor-symmetry orbit (`_Kernel.canon`) with
+    its chosen values, its moves and its discovery index, under which the
+    trail records its path; `visit` returns True to end the search.
+    Returns (states generated, distinct states), counted over the whole
+    orbits.
 
     Every move adds one unit to the state (a round, a promise, an accepted
     entry, a vote or a learned bit), so all paths to a state have the same
@@ -479,30 +558,32 @@ def _search(trail: _Trail, visit, max_states: int):
     level's discovery indices are contiguous, from `start`.
     """
     k = trail.kernel
+    canon, symmetric = k.canon, k.symmetric
     parent, pick = trail.parent.append, trail.pick.append
-    level, start = [k.initial], 0
+    level, start = {k.initial: 1}, 0   # representative -> orbit size
     generated, distinct = 0, 1   # the initial state counts as distinct
     while level:
-        seen = set()
-        nxt = []
-        for at, st in enumerate(level, start):
+        seen = {}
+        for at, (st, weight) in enumerate(level.items(), start):
             chosen = k.chosen(st)
             moves = k.moves(st, chosen)
             if visit(st, chosen, moves, at):
                 return generated, distinct
-            generated += len(moves)
-            for position, (_name, s) in enumerate(moves):
+            generated += weight * len(moves)
+            for position, (name, s) in enumerate(moves):
+                w = weight   # other moves keep a representative canonical
+                if symmetric and name[0] in ("promise", "vote"):
+                    s, w = canon(s)
                 if s in seen:
                     continue
-                if distinct >= max_states:
+                if distinct + w > max_states:
                     raise BudgetExceeded("state", max_states)
-                seen.add(s)
-                distinct += 1
-                nxt.append(s)
+                seen[s] = w
+                distinct += w
                 parent(at)
                 pick(position)
         start += len(level)
-        level = nxt
+        level = seen
     return generated, distinct
 
 
@@ -515,6 +596,8 @@ class SafetyReport:
     distinct_states: int
     states_generated: int
     violations: tuple
+    #: the acceptor-symmetry orbits the scan visited one representative of
+    orbits: int = 0
 
 
 def safety_scan(config: SystemConfig, max_states: int = 2_000_000) -> SafetyReport:
@@ -523,16 +606,26 @@ def safety_scan(config: SystemConfig, max_states: int = 2_000_000) -> SafetyRepo
     on every state that at most one value gathers a same-round vote quorum
     per slot.  Learned values need no check: a value is learned only once a
     quorum has voted for it, and votes and accepted values are never
-    withdrawn."""
-    violations = []
+    withdrawn.
 
-    def visit(_st, chosen, _moves, _at) -> bool:
-        if len(chosen) > 1:
-            violations.append(f"values {sorted(chosen)} each gathered a vote quorum")
+    A violation is listed once per state of its orbit, the orbits in the
+    order the scan visits their representatives.  A scan of every state
+    lists the same texts as often; it lists them in the same order while
+    they are all alike, as they are with two values, but may interleave
+    unlike texts (three values) otherwise."""
+    violations = []
+    k = _Kernel(config, "scan")
+
+    def visit(st, chosen, _moves, _at) -> bool:
+        if len(chosen) > 1:   # once for each state of the orbit
+            violations.extend([f"values {sorted(chosen)} each gathered a vote quorum"]
+                              * k.canon(st)[1])
         return False
 
-    generated, distinct = _search(_Trail(_Kernel(config, "scan")), visit, max_states)
-    return SafetyReport(config, distinct, generated, tuple(violations))
+    trail = _Trail(k)
+    generated, distinct = _search(trail, visit, max_states)
+    return SafetyReport(config, distinct, generated, tuple(violations),
+                        len(trail.parent))
 
 
 # ---------------------------------------------------------------------------

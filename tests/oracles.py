@@ -6,7 +6,8 @@ end of the supplied states with three-valued tail handling.  It is kept
 separate from the production evaluator so the two can check each other.
 `kernel_fields` decodes a checker kernel state, one int, into its fields;
 `naive_quorum` and `retest_consensus` are the kernel's quorum and consensus
-tests written as plain subset tests over acceptor names.
+tests written as plain subset tests over acceptor names; `acceptor_orbit`
+is a state's orbit under every acceptor permutation, by brute force.
 `naive_facts` reads a machine state's protocol facts off its full histories
 in one pass, where the machine derives them from the parent state.
 `scan_projection`, `machine_projections` and `realized_owned_states` are the
@@ -19,6 +20,7 @@ project back onto the kernel state (completeness).
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from livenesslab import checker
@@ -397,6 +399,36 @@ def kernel_fields(kernel, st: int) -> tuple:
     accepted = tuple(values[c - 1] if c else None for c in codes[:nb])
     return (nb, maxbal, st >> kernel.promise_at & mask, accepted,
             st >> kernel.vote_at & mask, st >> kernel.learn_at)
+
+
+def encode_fields(kernel, fields: tuple) -> int:
+    """The kernel state whose `kernel_fields` are ``fields``."""
+    nb, maxbal, pmask, accepted, vmask, learned = fields
+    values = (True,) if kernel.stable else kernel.config.values
+    st = (nb | pmask << kernel.promise_at | vmask << kernel.vote_at
+          | learned << kernel.learn_at)
+    for at, m in zip(kernel.maxbal_at, maxbal):
+        st |= m << at
+    for b, v in enumerate(accepted):
+        if v is not None:
+            st |= values.index(v) + 1 << kernel.accept_at + kernel.accept_width * b
+    return st
+
+
+def acceptor_orbit(kernel, st: int) -> set:
+    """Every state that renaming the acceptors makes of ``st``: decoded,
+    permuted under each of the j! permutations, and re-encoded."""
+    nb, maxbal, pmask, accepted, vmask, learned = kernel_fields(kernel, st)
+    pool = kernel.pool
+    row = (1 << pool) - 1
+
+    def permuted(mask, perm):
+        return sum((mask >> old * pool & row) << new * pool for new, old in enumerate(perm))
+
+    return {encode_fields(kernel, (nb, tuple(maxbal[old] for old in perm),
+                                   permuted(pmask, perm), accepted,
+                                   permuted(vmask, perm), learned))
+            for perm in itertools.permutations(range(kernel.j))}
 
 
 def naive_quorum(kernel, mask: int, b: int) -> bool:

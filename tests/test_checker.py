@@ -18,8 +18,8 @@ from livenesslab.catalog import build
 from livenesslab.tracefile import trace_to_text
 
 from oracles import (
-    fold_learners, kernel_fields, machine_projections, naive_quorum,
-    realized_owned_states, retest_consensus,
+    acceptor_orbit, fold_learners, kernel_fields, machine_projections,
+    naive_quorum, realized_owned_states, retest_consensus,
 )
 
 
@@ -106,6 +106,17 @@ def test_explore_budgets_are_exact(monkeypatch):
     assert (exc.value.what, exc.value.limit) == ("tick", 9)
 
 
+def test_explore_budgets_meet_in_the_unreduced_order(monkeypatch):
+    # (2,3) at x = 1 holds 280 states up to tick 9, the cap at slack -1: a
+    # state budget of 280 is spent before the first state past the cap, and
+    # one of 281 is not, although that state's orbit would overrun it
+    monkeypatch.setattr(checker, "_TICK_SLACK", -1)
+    for budget, what in ((280, "state"), (281, "tick")):
+        with pytest.raises(BudgetExceeded) as exc:
+            explore(make_config(2, 3), 1, max_states=budget)
+        assert exc.value.what == what, budget
+
+
 # (stable length, states generated, distinct states) for x = 0, 1, ...,
 # pinned from the bitmask explorer; any change to the move rules shows up
 # here.  From x = 5 on (2,3) a round can gather votes before the next
@@ -127,15 +138,37 @@ def test_explore_golden_counters():
         assert got == rows, (i, j)
 
 
+#: (stable lengths, (states generated, distinct states)) for x = 0, 1, ...
+_PLATEAU_PINS = {
+    (2, 3): ([7, 10, 13, 13, 13, 14, 15, 16, 16],
+             [(62, 37), (526, 289), (3915, 2053), (3924, 2053), (4187, 2197),
+              (6929, 3709), (13140, 7129), (17364, 9505), (20813, 11485)]),
+    (3, 3): ([7, 10, 13, 16, 16, 16, 17, 18, 19],
+             [(62, 37), (526, 289), (3915, 2053), (28196, 14401), (28468, 14545),
+              (31246, 16057), (53186, 27685), (103730, 54469), (146122, 77509)]),
+    (2, 4): ([9, 13, 17, 17, 17, 17, 18, 19],
+             [(206, 92), (3506, 1457), (54788, 21932), (54802, 21932),
+              (54834, 21932), (55920, 22387), (77020, 31214), (146578, 60334)]),
+}
+
+
 def test_explore_length_rises_past_the_closed_form_plateau():
-    # on (2,3) the closed form's plateau past x = i holds only up to x = 4:
-    # the length then rises one tick per x, to 16 at x = 7 and 8
-    cfg = make_config(2, 3)
-    runs = [explore(cfg, x) for x in range(9)]
-    assert [r.stable_length for r in runs] == [7, 10, 13, 13, 13, 14, 15, 16, 16]
-    assert [(r.states_generated, r.distinct_states) for r in runs] == [
-        (62, 37), (526, 289), (3915, 2053), (3924, 2053), (4187, 2197),
-        (6929, 3709), (13140, 7129), (17364, 9505), (20813, 11485)]
+    # the closed form's plateau past x = i ends: on (2,3) it holds only up
+    # to x = 4, and the length then rises one tick per x, to 16 at x = 7
+    # and 8; on (3,3) and (2,4) it rises from x = 6
+    for (i, j), (lengths, counts) in _PLATEAU_PINS.items():
+        runs = [explore(make_config(i, j), x) for x in range(len(lengths))]
+        assert [r.stable_length for r in runs] == lengths, (i, j)
+        assert [(r.states_generated, r.distinct_states) for r in runs] == counts, (i, j)
+
+
+def test_explore_and_the_scan_report_the_orbits_they_kept():
+    # one representative per acceptor-symmetry orbit; the counts stay those
+    # of every state
+    run = explore(make_config(3, 4), 3)
+    assert (run.states_generated, run.distinct_states, run.orbits) == (838294, 329057, 16783)
+    rep = safety_scan(competing_rounds_config(2, 3))
+    assert (rep.states_generated, rep.distinct_states, rep.orbits) == (352516, 126121, 22790)
 
 
 def test_explore_deterministic_counters():
@@ -195,9 +228,9 @@ class _RetestKernel(checker._Kernel):
 def test_explore_counts_alike_with_either_consensus_test(monkeypatch):
     # explore tests only the newest round, and only on states it has not
     # seen: no frontier state has a vote quorum, and only a vote changes
-    # the vote mask
+    # the vote mask; it tests once per representative it keeps
     def runs():
-        return [(r.stable_length, r.states_generated, r.distinct_states)
+        return [(r.stable_length, r.states_generated, r.distinct_states, r.orbits)
                 for i, j in ((2, 3), (2, 4), (1, 5), (2, 5))
                 for r in (explore(make_config(i, j), x) for x in (0, 1))]
 
@@ -205,7 +238,7 @@ def test_explore_counts_alike_with_either_consensus_test(monkeypatch):
     monkeypatch.setattr(checker, "_Kernel", _RetestKernel)
     monkeypatch.setattr(_RetestKernel, "retests", 0)
     assert runs() == fast
-    assert _RetestKernel.retests > sum(distinct for _len, _gen, distinct in fast) / 2
+    assert _RetestKernel.retests > sum(orbits for *_counts, orbits in fast) / 2
 
 
 def test_checkrun_validation():
@@ -360,6 +393,34 @@ def test_no_move_carries_into_a_neighbouring_field():
                     want[5]), (discipline, name, kernel_fields(k, st))
 
 
+def _fifo_representatives(kernel) -> list:
+    """The canonical representatives in the order a FIFO search pops them
+    when it canonicalizes every successor, whatever its move."""
+    seen, frontier, order = {kernel.initial}, deque([kernel.initial]), []
+    while frontier:
+        st = frontier.popleft()
+        order.append(st)
+        for _name, s in kernel.moves(st, kernel.chosen(st)):
+            s = kernel.canon(s)[0]
+            if s not in seen:
+                seen.add(s)
+                frontier.append(s)
+    return order
+
+
+def _one_per_orbit(kernel, reps, states) -> bool:
+    """Whether ``reps`` holds exactly one state of each acceptor-permutation
+    orbit of ``states``, and nothing else."""
+    reps, left = set(reps), set(states)
+    while left:
+        orbit = acceptor_orbit(kernel, left.pop())
+        if len(orbit & reps) != 1:
+            return False
+        left -= orbit
+        reps -= orbit
+    return not reps
+
+
 def test_search_visits_states_in_fifo_order():
     for cfg, discipline in ((competing_rounds_config(1, 3), "scan"),
                             (competing_rounds_config(2, 2), "owned")):
@@ -374,15 +435,20 @@ def test_search_visits_states_in_fifo_order():
             return False
 
         assert checker._search(checker._Trail(k), visit, 10**6) == (generated, len(seen))
-        assert visited == order
+        if k.symmetric:   # the scan keeps one representative per orbit
+            assert visited == _fifo_representatives(k)
+            assert len(visited) < len(order) and _one_per_orbit(k, visited, seen)
+        else:
+            assert visited == order
 
 
 def test_search_paths_spell_the_moves_to_each_state():
     # the trail's replayed names reach the state, and there are as many as
-    # the state's level
+    # the state's level; the scan's trail steps from representative to
+    # representative, so its replay canonicalizes after every move
     for cfg, discipline, n_states in ((competing_rounds_config(1, 3), "owned", 2681),
                                       (competing_rounds_config(2, 2), "owned", 1140),
-                                      (competing_rounds_config(1, 3), "scan", 2681)):
+                                      (competing_rounds_config(1, 3), "scan", 577)):
         k = checker._Kernel(cfg, discipline)
         trail = checker._Trail(k)
         spelled = []
@@ -392,6 +458,8 @@ def test_search_paths_spell_the_moves_to_each_state():
             replayed = k.initial
             for name in names:
                 replayed = dict(k.moves(replayed, k.chosen(replayed)))[name]
+                if k.symmetric:
+                    replayed = k.canon(replayed)[0]
             assert replayed == st, (discipline, names)
             assert len(names) == _depth(k, st), (discipline, names)
             spelled.append(st)
@@ -399,6 +467,72 @@ def test_search_paths_spell_the_moves_to_each_state():
 
         checker._search(trail, visit, 10**6)
         assert len(spelled) == len(trail.parent) == len(trail.pick) == n_states
+        if k.symmetric:
+            assert _one_per_orbit(k, spelled, _kernel_bfs(k)[0])
+
+
+def _forged_disjoint(n_proposers, n_acceptors):
+    """competing_rounds_config with singleton quorums, which every valid
+    config refuses: the only way two values get chosen."""
+    cfg = competing_rounds_config(n_proposers, n_acceptors)
+    object.__setattr__(cfg, "quorums", tuple(frozenset({a}) for a in cfg.acceptors))
+    return cfg
+
+
+def test_canon_matches_brute_force_acceptor_orbits():
+    # canon is constant on each orbit of the reachable states, lands in it
+    # and weighs its size; the reachable states are closed under renaming
+    # acceptors, so the search's representatives, weighed by the brute-force
+    # orbit sizes, sum to the full search's counts
+    for cfg, discipline in ((competing_rounds_config(1, 3), "scan"),
+                            (competing_rounds_config(2, 2), "scan"),
+                            (_forged_disjoint(2, 2), "scan"),
+                            (make_config(2, 3), "stable")):
+        k = checker._Kernel(cfg, discipline)
+        assert k.symmetric
+        seen, generated, _order = _kernel_bfs(k)
+        left = set(seen)
+        while left:
+            orbit = acceptor_orbit(k, left.pop())
+            assert orbit <= seen, discipline
+            rep, weight = k.canon(next(iter(orbit)))
+            assert rep in orbit and weight == len(orbit), (discipline, rep)
+            assert {k.canon(st) for st in orbit} == {(rep, weight)}, (discipline, rep)
+            left -= orbit
+        visited = []
+
+        def visit(st, _chosen, moves, _at):
+            visited.append((len(acceptor_orbit(k, st)), len(moves)))
+            return False
+
+        assert checker._search(checker._Trail(k), visit, 10**6) == (generated, len(seen))
+        assert sum(size for size, _n in visited) == len(seen), discipline
+        assert sum(size * n for size, n in visited) == generated, discipline
+
+
+def test_kernel_without_quorum_symmetry_keeps_singleton_orbits():
+    # only a2 <-> a3 maps _non_majority_config's quorums onto themselves, so
+    # its kernels keep singleton orbits and count as the unreduced search
+    cfg = _non_majority_config()
+    for discipline in ("scan", "stable", "owned"):
+        assert not checker._Kernel(cfg, discipline).symmetric
+    assert not checker._Kernel(make_config(2, 3), "owned").symmetric
+    # nine adjacent swaps decide a majority config of ten; 10! permutations
+    # would take minutes
+    assert checker._Kernel(make_config(1, 10), "stable").symmetric
+    scan_cfg = SystemConfig(proposers=cfg.proposers, acceptors=cfg.acceptors,
+                            quorums=cfg.quorums, rounds=((1, "p1"), (2, "p1")))
+    k = checker._Kernel(scan_cfg, "scan")
+    seen, generated, _order = _kernel_bfs(k)
+    assert all(k.canon(st) == (st, 1) for st in seen)
+    rep = safety_scan(scan_cfg)
+    assert (rep.states_generated, rep.distinct_states, rep.orbits) == (
+        generated, len(seen), len(seen)) == (86577, 26705, 26705)
+    # the unreduced explore's counts, pinned
+    runs = [explore(cfg, x) for x in range(4)]
+    assert [(r.stable_length, r.states_generated, r.distinct_states) for r in runs] == [
+        (9, 254, 122), (13, 4242, 1937), (17, 65588, 29162), (17, 65602, 29162)]
+    assert all(r.orbits == r.distinct_states for r in runs)
 
 
 def test_kernel_bfs_budget_is_exact():

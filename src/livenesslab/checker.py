@@ -2,9 +2,9 @@
 oracle it must reproduce, an exhaustive safety scan, and a bounded search
 for liveness counterexample lassos.  All three searches run one move
 relation of single-decree Paxos over one int per state, `_Kernel.moves`,
-each under its own discipline; `safety_scan` and the lasso search share
-one breadth-first search, `_search`, which records every state's path in a
-`_Trail`: its parent's index and its move's position, by discovery order.
+each under its own discipline, and one breadth-first search, `_search`,
+which records every state's path in a `_Trail`: its parent's index and its
+move's position, by discovery order.
 
 `explore` and `safety_scan` keep one representative per orbit of the
 acceptor permutations that map the quorums onto themselves
@@ -157,14 +157,14 @@ class _Kernel:
       while the number of started rounds is below next_own[b], the next
       round of the same owner, and each proposer learns on its own.
     - "stable" (`explore`): the pool is one competing round per proposer
-      plus the stabilizing round.  A round is promised only if it is at
-      least the newest round whose accept was sent, and only while it is
-      the newest round or lacks a promise quorum; only the newest round
-      accepts and votes.  An accept records True, not the 1b rule's value:
-      `explore` reads no values, and a value would split states that differ
-      in nothing else.  Nobody learns, whatever chosen values `moves` is
-      given.  `explore` drops the election, which `moves` lists first, once
-      the unstable window is over: only it knows the tick.
+      plus the stabilizing round.  An election is offered only while the
+      state's `tick` is at most stable_start.  A round is promised only if
+      it is at least the newest round whose accept was sent, and only while
+      it is the newest round or lacks a promise quorum; only the newest
+      round accepts and votes.  An accept records True, not the 1b rule's
+      value: `explore` reads no values, and a value would split states that
+      differ in nothing else.  A state with a chosen value offers no move,
+      since consensus ends the behavior, so nobody learns.
 
     A quorum test takes the promise or vote mask shifted down to bit 0,
     masks round b's acceptor bits out of it and looks the pattern up in one
@@ -182,8 +182,9 @@ class _Kernel:
     after promises and votes.
     """
 
-    def __init__(self, config: SystemConfig, discipline: str):
+    def __init__(self, config: SystemConfig, discipline: str, stable_start: int = 0):
         self.config = config
+        self.stable_start = stable_start
         self.rounds = tuple(sorted(config.rounds))
         self.j = j = len(config.acceptors)
         self.stable = stable = discipline == "stable"
@@ -317,6 +318,12 @@ class _Kernel:
                 run = 1
         return st, weight
 
+    def tick(self, st: int) -> int:
+        """The rounds started plus the bits set above the head: under
+        "stable", where each move starts one round or sets one bit, the
+        length of every path to the state."""
+        return (st & self.round_mask) + (st >> self.promise_at).bit_count()
+
     def quorum(self, mask: int, b: int) -> bool:
         """Whether the acceptors whose round-b bit (a*pool + b-1) is set in
         the mask hold a quorum."""
@@ -375,12 +382,15 @@ class _Kernel:
         has not learned it.  Rounds start in ascending order, and messages
         are read from a pool, so delivery interleavings stay out of the
         state."""
+        stable = self.stable
+        if stable and chosen:
+            return []   # consensus ends a stable behavior
         nb = st & self.round_mask
-        stable, accept_field = self.stable, self.accept_field
+        accept_field = self.accept_field
         head = st & self.head_mask
         head_promises, head_votes = self.heads.get(head) or self._head(head)
         out = []
-        if nb < self.pool:
+        if nb < self.pool and (not stable or self.tick(st) <= self.stable_start):
             out.append((self.elect_names[nb + 1], st + 1))
         pmask = st >> self.promise_at
         # the lowest round that may be promised, and that may accept or vote
@@ -403,11 +413,10 @@ class _Kernel:
                 for name, bit, delta in head_votes[b]:
                     if not st & bit:
                         out.append((name, st + delta))
-        if not stable:   # a stable accept records True, which nobody learns
-            for v, b in chosen.items():
-                for learner, bit in zip(self.learners, self.learn_bits[v]):
-                    if not st & bit:
-                        out.append((("learn", learner, b, v), st | bit))
+        for v, b in chosen.items():
+            for learner, bit in zip(self.learners, self.learn_bits[v]):
+                if not st & bit:
+                    out.append((("learn", learner, b, v), st | bit))
         return out
 
     def owing_processes(self, moves):
@@ -441,81 +450,47 @@ def explore(config: SystemConfig, stable_start: int,
     discipline; the stable duration length is the latest tick at which the
     first same-round quorum of votes can appear.
 
+    The "stable" kernel holds the whole discipline, so `explore` runs on
+    `_search` and only reads the states it visits: the tick of each one
+    with a chosen value, and a state with no move and no chosen value,
+    which raises NoConsensusPath.  Every behavior is finite and ends in
+    one of the two, so a search that ends has found a consensus.
+
     The sought quantity is a maximum over finite-depth behaviors, so the
     walk is capped at the closed form plus `_TICK_SLACK` ticks; hitting the
     cap means the calibration is broken and raises rather than truncating
     silently.
-
-    It keeps its own loop rather than `_search`: it reads no chosen values,
-    prunes the election by tick and needs no paths.
     """
     if stable_start < 0:
         raise ValueError("stable_start must be non-negative")
     t0 = time.perf_counter()
-    x = stable_start
-    k = _Kernel(config, "stable")
-    tick_cap = formula_oracle(len(config.proposers), k.j, x) + _TICK_SLACK
+    k = _Kernel(config, "stable", stable_start)
+    tick_cap = formula_oracle(len(config.proposers), k.j, stable_start) + _TICK_SLACK
+    length = 0
 
-    # Every move costs one tick, so a state can only meet states of its own
-    # tick: each level of the search is one tick, keyed on the bare kernel
-    # state of each representative, and is dropped once the next one is built.
-    level = {k.initial: 1}   # representative -> orbit size
-    round_mask, votes_at = k.round_mask, k.vote_at
-    canon, symmetric = k.canon, k.symmetric
-    tick = 0
-    generated, distinct, orbits = 0, 1, 1   # the initial state counts as distinct
-    best: Optional[int] = None
-    while level:
-        seen = set()
-        nxt = {}
-        for st, weight in level.items():
-            succ = k.moves(st, {})
-            if tick > x and st & round_mask < k.pool:
-                del succ[0]   # the election; moves lists it first
-            generated += weight * len(succ)
-            if not succ:
-                raise NoConsensusPath(f"stuck without consensus at tick {tick}")
-            for name, s in succ:
-                w = weight   # other moves keep a representative canonical
-                if symmetric and name[0] in ("promise", "vote"):
-                    s, w = canon(s)
-                if s in seen:
-                    continue
-                if distinct + w > max_states or tick >= tick_cap:
-                    # the unreduced search raised on its first state past
-                    # either budget, checking the state budget first
-                    if tick >= tick_cap and distinct < max_states:
-                        raise BudgetExceeded("tick", tick_cap)
-                    raise BudgetExceeded("state", max_states)
-                seen.add(s)
-                distinct += w
-                # A state with a vote quorum is never expanded, so no level
-                # state has a quorum in any round, and only a vote (always
-                # in the newest round) changes the vote mask: a successor
-                # reached consensus exactly when its newest round holds a
-                # vote quorum.
-                if k.quorum(s >> votes_at, s & round_mask):
-                    best = tick + 1
-                else:
-                    nxt[s] = w
-        orbits += len(seen)
-        level = nxt
-        tick += 1
-    if best is None:
-        raise NoConsensusPath("no behavior reached a vote quorum")
+    def visit(st, chosen, moves, _at) -> bool:
+        nonlocal length
+        if chosen:   # the search visits the latest consensus last
+            length = k.tick(st)
+        elif not moves:
+            raise NoConsensusPath(f"stuck without consensus at tick {k.tick(st)}")
+        return False
+
+    trail = _Trail(k)
+    generated, distinct = _search(trail, visit, max_states, tick_cap)
     return CheckRun(
         config=config,
         stable_start=stable_start,
-        stable_length=best,
+        stable_length=length,
         states_generated=generated,
         distinct_states=distinct,
         elapsed_seconds=time.perf_counter() - t0,
-        orbits=orbits,
+        orbits=len(trail.parent),
     )
 
 
 # ---------------------------------------------------------------------------
-# the shared search of safety_scan and the lasso search
+# the breadth-first search all three share
 
 class _Trail:
     """Every state's search path, indexed by discovery order, the initial
@@ -543,7 +518,7 @@ class _Trail:
         return names
 
 
-def _search(trail: _Trail, visit, max_states: int):
+def _search(trail: _Trail, visit, max_states: int, max_depth: Optional[int] = None):
     """Breadth-first search over the trail's kernel's `moves`, visiting
     one representative per acceptor-symmetry orbit (`_Kernel.canon`) with
     its chosen values, its moves and its discovery index, under which the
@@ -556,13 +531,21 @@ def _search(trail: _Trail, visit, max_states: int):
     length: a `seen` set per level visits the states in the order a global
     one would, and each level is dropped once the next one is built.  A
     level's discovery indices are contiguous, from `start`.
+
+    Past ``max_depth`` levels, which under "stable" are ticks, the first
+    new state raises "tick", or "state" if the state budget is spent as
+    well: the order in which a search of every state met the two budgets.
     """
     k = trail.kernel
     canon, symmetric = k.canon, k.symmetric
     parent, pick = trail.parent.append, trail.pick.append
-    level, start = {k.initial: 1}, 0   # representative -> orbit size
+    level, start, depth = {k.initial: 1}, 0, 0   # representative -> orbit size
     generated, distinct = 0, 1   # the initial state counts as distinct
     while level:
+        # past the depth budget every new state overruns the limit, which
+        # keeps the check per new state the same one test
+        capped = max_depth is not None and depth >= max_depth
+        limit = -1 if capped else max_states
         seen = {}
         for at, (st, weight) in enumerate(level.items(), start):
             chosen = k.chosen(st)
@@ -576,7 +559,9 @@ def _search(trail: _Trail, visit, max_states: int):
                     s, w = canon(s)
                 if s in seen:
                     continue
-                if distinct + w > max_states:
+                if distinct + w > limit:
+                    if capped and distinct < max_states:
+                        raise BudgetExceeded("tick", max_depth)
                     raise BudgetExceeded("state", max_states)
                 seen[s] = w
                 distinct += w
@@ -584,6 +569,7 @@ def _search(trail: _Trail, visit, max_states: int):
                 pick(position)
         start += len(level)
         level = seen
+        depth += 1
     return generated, distinct
 
 

@@ -75,7 +75,16 @@ class SystemConfig:
         if not self.proposers or not self.acceptors:
             raise ValueError("need at least one proposer and one acceptor")
         if not self.quorums:
+            # two majorities of n intersect, as 2(n//2 + 1) > n, so only
+            # supplied quorums need the pairwise check, which is quadratic
             object.__setattr__(self, "quorums", majorities(self.acceptors))
+        else:
+            for q1 in self.quorums:
+                for q2 in self.quorums:
+                    if not q1 & q2:
+                        raise InvalidQuorumSystem(
+                            f"quorums {sorted(q1)} and {sorted(q2)} are disjoint"
+                        )
         if not self.values:
             object.__setattr__(
                 self, "values", tuple(f"v{k + 1}" for k in range(len(self.proposers)))
@@ -90,12 +99,6 @@ class SystemConfig:
                     for p in self.proposers
                 ),
             )
-        for q1 in self.quorums:
-            for q2 in self.quorums:
-                if not q1 & q2:
-                    raise InvalidQuorumSystem(
-                        f"quorums {sorted(q1)} and {sorted(q2)} are disjoint"
-                    )
 
     @property
     def servers(self) -> tuple:

@@ -10,12 +10,14 @@ tests written as plain subset tests over acceptor names; `acceptor_orbit`
 is a state's orbit under every acceptor permutation, by brute force.
 `naive_facts` reads a machine state's protocol facts off its full histories
 in one pass, where the machine derives them from the parent state.
-`scan_projection`, `machine_projections` and `realized_owned_states` are the
-referee between the machine and the checker's bitmask kernel: a projection
-of machine states onto `safety_scan`'s kernel states, a breadth-first search
-of the machine whose projections must be kernel states (soundness), and a
-replay of every owned-kernel path on the machine whose last state must
-project back onto the kernel state (completeness).
+`scan_projection`, `machine_projections`, `realized_owned_states` and
+`realized_run_steps` are the referee between the machine and the checker's
+bitmask kernel: a projection of machine states onto `safety_scan`'s kernel
+states, a breadth-first search of the machine whose projections must be
+kernel states (soundness), a replay of every owned-kernel path on the
+machine whose last state must project back onto the kernel state
+(completeness), and every step from the states of those replays, whose
+projections must be kernel states too (soundness past the search's depth).
 """
 
 from __future__ import annotations
@@ -563,19 +565,63 @@ def machine_projections(config, depth: int):
     return len(seen), {scan_projection(s) for s in seen}
 
 
+def _realize_owned_paths(config, take) -> None:
+    """Calls ``take(kernel, state, run)`` for every state of the owned
+    kernel, in `_search`'s order, with the run of machine states that
+    `_realize` passes through along the state's search path, the leftover
+    messages dropped."""
+    k = checker._Kernel(config, "owned")
+    trail = checker._Trail(k)
+
+    def visit(st, _chosen, _moves, at) -> bool:
+        take(k, st, checker._realize(config, k, trail.names(at), True, set()))
+        return False
+
+    checker._search(trail, visit, 10**6)
+
+
 def realized_owned_states(config) -> list:
     """Every state of the owned kernel, in `_search`'s order, realized on
     the machine by `_realize` along its search path with the leftover
     messages dropped: a list of (the state's fields with learners folded,
     the scan projection of the realized run's last state)."""
-    k = checker._Kernel(config, "owned")
-    trail = checker._Trail(k)
     pairs = []
-
-    def visit(st, _chosen, _moves, at) -> bool:
-        states = checker._realize(config, k, trail.names(at), True, set())
-        pairs.append((fold_learners(k, st), scan_projection(states[-1])))
-        return False
-
-    checker._search(trail, visit, 10**6)
+    _realize_owned_paths(config, lambda k, st, states: pairs.append(
+        (fold_learners(k, st), scan_projection(states[-1]))))
     return pairs
+
+
+def realized_run_steps(config) -> tuple:
+    """Every action but a fault, applied to each distinct machine state on
+    the owned kernel's realized runs.  Returns the number of owned states,
+    of distinct machine states and of steps, the set of the steps' scan
+    projections, and the number of accept steps in a round one of whose
+    promisers had voted in an earlier round for a value other than the
+    round owner's: the accepts where the 1b rule can overrule the owner."""
+    seen, projections = set(), set()
+    owned = steps = prior_accepts = 0
+
+    def take(_k, _st, states) -> None:
+        nonlocal owned, steps, prior_accepts
+        owned += 1
+        for state in states:
+            if state in seen:
+                continue
+            seen.add(state)
+            for act in mc.enabled(state):
+                if isinstance(act, _FAULTS):
+                    continue
+                steps += 1
+                projections.add(scan_projection(mc.apply_action(state, act)))
+                if isinstance(act, mc.ProposerSendAccept):
+                    p, obs = act.proposer, state.obs
+                    rnd = state.facts.current[p]
+                    own = config.values[config.proposers.index(p) % len(config.values)]
+                    promisers = {a for (a, wire, _rcv) in obs.sent
+                                 if wire[0] == "1b" and wire[1] == rnd}
+                    prior_accepts += any(
+                        a in promisers and r < rnd and v != own
+                        for (a, r, _slot, v) in obs.voted)
+
+    _realize_owned_paths(config, take)
+    return owned, len(seen), steps, projections, prior_accepts

@@ -18,7 +18,7 @@ from livenesslab.scenarios import (
     paxos_complex_livelock_lasso, raft_eachvote_lasso,
 )
 from livenesslab.temporal import eval_expr
-from livenesslab.tracefile import trace_to_text
+from livenesslab.tracefile import config_from_record, config_record, trace_to_text
 
 from oracles import naive_facts
 
@@ -46,6 +46,18 @@ def test_disjoint_quorums_rejected():
     with pytest.raises(InvalidQuorumSystem):
         SystemConfig(proposers=("p1",), acceptors=("a1", "a2"),
                      quorums=(frozenset({"a1"}), frozenset({"a2"})))
+
+
+def test_only_supplied_quorums_are_checked_for_intersection():
+    # two majorities of one set always intersect, so the default quorums
+    # skip the pairwise check, which is quadratic in the quorums
+    cfg = make_config(1, 16)
+    assert len(cfg.quorums) == 11440 and all(len(q) == 9 for q in cfg.quorums)
+    record = config_record(make_config(1, 2))
+    assert config_from_record(record).quorums == (frozenset({"a1", "a2"}),)
+    record["quorums"] = [["a1"], ["a2"]]   # a file's header supplies its quorums
+    with pytest.raises(InvalidQuorumSystem):
+        config_from_record(record)
 
 
 def test_4p4a_quorums_are_three_of_four():

@@ -44,15 +44,14 @@ class CheckerError(Exception):
 
 
 class BudgetExceeded(CheckerError):
-    def __init__(self, what: str, limit: int):
-        self.what = what
+    def __init__(self, limit: int):
         self.limit = limit
-        super().__init__(f"exceeded the {what} budget of {limit}")
+        super().__init__(f"exceeded the state budget of {limit}")
 
     def __reduce__(self):
         # a worker process pickles the exception; the default would call
         # __init__ with the message alone
-        return type(self), (self.what, self.limit)
+        return type(self), (self.limit,)
 
 
 class NoConsensusPath(CheckerError):
@@ -68,12 +67,15 @@ def formula_oracle(i: int, j: int, x: int) -> int:
     of votes), and each tick of instability lets one more round compete at
     a cost of j actions.
 
-    ``explore`` follows the law (j//2 + 2)*min(x, i) + base instead.  It
-    stops a superseded round's promises once that round has a quorum, so
-    each extra round costs 1 + q actions, q = j//2 + 1, which equals j only
-    for j in {3, 4}, where the two agree.  Measured: (1,5) 10/14/14 and
-    (2,5) 10/14/18/18 at x = 0, 1, ..., where the form gives 10/15/15 and
-    10/15/20/20; (1,6) 12/17/17, (1,7) 13/18 and (2,6) 12/17.
+    ``explore`` follows the law (j//2 + 2)*min(x, i) + base instead, and
+    only near the plateau.  It stops a superseded round's promises once
+    that round has a quorum, so each extra round costs 1 + q actions, q =
+    j//2 + 1, which equals j only for j in {3, 4}, where the two agree.
+    Measured: (1,5) 10/14/14 and (2,5) 10/14/18/18 at x = 0, 1, ..., where
+    the form gives 10/15/15 and 10/15/20/20; (1,6) 12/17/17, (1,7) 13/18
+    and (2,6) 12/17.  A few ticks past x = i the length rises again, until
+    it saturates (see `explore`): (2,3) gives 13 up to x = 4, then 14, 15
+    and 16 at x = 5, 6 and 7, and 19 from x = 12.
     """
     if i < 1 or j < 1 or x < 0:
         raise ValueError("need i >= 1, j >= 1, x >= 0")
@@ -93,8 +95,6 @@ class CheckRun:
     orbits: int = 0
 
     def __post_init__(self):
-        if self.stable_length < self.stable_start:
-            raise ValueError("stable_length below stable_start")
         if self.distinct_states > self.states_generated + 1:   # + the initial state
             raise ValueError("distinct states exceed generated states")
         if self.orbits > self.distinct_states:
@@ -440,10 +440,6 @@ class _Kernel:
         return acceptors, proposers
 
 
-#: ticks past the closed form at which `explore` stops with BudgetExceeded
-_TICK_SLACK = 8
-
-
 def explore(config: SystemConfig, stable_start: int,
             max_states: int = 5_000_000) -> CheckRun:
     """Breadth-first exploration of every behavior under the stable-start
@@ -454,18 +450,20 @@ def explore(config: SystemConfig, stable_start: int,
     `_search` and only reads the states it visits: the tick of each one
     with a chosen value, and a state with no move and no chosen value,
     which raises NoConsensusPath.  Every behavior is finite and ends in
-    one of the two, so a search that ends has found a consensus.
+    one of the two, so a search that ends has found a consensus: each move
+    starts one round of a finite pool or sets one clear bit, and elections
+    stop after ``stable_start``.  The state budget is the only limit.
 
-    The sought quantity is a maximum over finite-depth behaviors, so the
-    walk is capped at the closed form plus `_TICK_SLACK` ticks; hitting the
-    cap means the calibration is broken and raises rather than truncating
-    silently.
+    The length never falls as ``stable_start`` grows, since a later start
+    only adds elections.  Once it is at most ``stable_start + 1``, no
+    undecided state lies at tick ``stable_start + 1``, where a later start
+    would add one, so the length stays constant from there: (1,3) 13,
+    (2,3) 19, (3,2) 21, (1,7) 25 and (2,5) 28.
     """
     if stable_start < 0:
         raise ValueError("stable_start must be non-negative")
     t0 = time.perf_counter()
     k = _Kernel(config, "stable", stable_start)
-    tick_cap = formula_oracle(len(config.proposers), k.j, stable_start) + _TICK_SLACK
     length = 0
 
     def visit(st, chosen, moves, _at) -> bool:
@@ -477,7 +475,7 @@ def explore(config: SystemConfig, stable_start: int,
         return False
 
     trail = _Trail(k)
-    generated, distinct = _search(trail, visit, max_states, tick_cap)
+    generated, distinct = _search(trail, visit, max_states)
     return CheckRun(
         config=config,
         stable_start=stable_start,
@@ -518,34 +516,26 @@ class _Trail:
         return names
 
 
-def _search(trail: _Trail, visit, max_states: int, max_depth: Optional[int] = None):
+def _search(trail: _Trail, visit, max_states: int):
     """Breadth-first search over the trail's kernel's `moves`, visiting
     one representative per acceptor-symmetry orbit (`_Kernel.canon`) with
     its chosen values, its moves and its discovery index, under which the
     trail records its path; `visit` returns True to end the search.
     Returns (states generated, distinct states), counted over the whole
-    orbits.
+    orbits; the first new state past ``max_states`` raises BudgetExceeded.
 
     Every move adds one unit to the state (a round, a promise, an accepted
     entry, a vote or a learned bit), so all paths to a state have the same
     length: a `seen` set per level visits the states in the order a global
     one would, and each level is dropped once the next one is built.  A
     level's discovery indices are contiguous, from `start`.
-
-    Past ``max_depth`` levels, which under "stable" are ticks, the first
-    new state raises "tick", or "state" if the state budget is spent as
-    well: the order in which a search of every state met the two budgets.
     """
     k = trail.kernel
     canon, symmetric = k.canon, k.symmetric
     parent, pick = trail.parent.append, trail.pick.append
-    level, start, depth = {k.initial: 1}, 0, 0   # representative -> orbit size
+    level, start = {k.initial: 1}, 0   # representative -> orbit size
     generated, distinct = 0, 1   # the initial state counts as distinct
     while level:
-        # past the depth budget every new state overruns the limit, which
-        # keeps the check per new state the same one test
-        capped = max_depth is not None and depth >= max_depth
-        limit = -1 if capped else max_states
         seen = {}
         for at, (st, weight) in enumerate(level.items(), start):
             chosen = k.chosen(st)
@@ -559,17 +549,14 @@ def _search(trail: _Trail, visit, max_states: int, max_depth: Optional[int] = No
                     s, w = canon(s)
                 if s in seen:
                     continue
-                if distinct + w > limit:
-                    if capped and distinct < max_states:
-                        raise BudgetExceeded("tick", max_depth)
-                    raise BudgetExceeded("state", max_states)
+                if distinct + w > max_states:
+                    raise BudgetExceeded(max_states)
                 seen[s] = w
                 distinct += w
                 parent(at)
                 pick(position)
         start += len(level)
         level = seen
-        depth += 1
     return generated, distinct
 
 

@@ -74,11 +74,12 @@ class SystemConfig:
     def __post_init__(self):
         if not self.proposers or not self.acceptors:
             raise ValueError("need at least one proposer and one acceptor")
+        default = majorities(self.acceptors)
         if not self.quorums:
+            object.__setattr__(self, "quorums", default)
+        elif set(self.quorums) != set(default):
             # two majorities of n intersect, as 2(n//2 + 1) > n, so only
-            # supplied quorums need the pairwise check, which is quadratic
-            object.__setattr__(self, "quorums", majorities(self.acceptors))
-        else:
+            # other quorums need the pairwise check, which is quadratic
             for q1 in self.quorums:
                 for q2 in self.quorums:
                     if not q1 & q2:

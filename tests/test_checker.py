@@ -85,35 +85,18 @@ def test_explore_rejects_negative_start_and_tiny_budget():
 
 
 def test_budget_exceeded_survives_a_pickle_round_trip():
-    exc = pickle.loads(pickle.dumps(BudgetExceeded("state", 10)))
+    exc = pickle.loads(pickle.dumps(BudgetExceeded(10)))
     assert type(exc) is BudgetExceeded
-    assert (exc.what, exc.limit, str(exc)) == (
-        "state", 10, "exceeded the state budget of 10")
+    assert (exc.limit, str(exc)) == (10, "exceeded the state budget of 10")
 
 
-def test_explore_budgets_are_exact(monkeypatch):
-    # (2,3) has 2053 distinct states at x = 2, and length 10 at x = 1, one
-    # tick past the closed form less one
+def test_explore_budgets_are_exact():
+    # (2,3) has 2053 distinct states at x = 2
     cfg = make_config(2, 3)
     assert explore(cfg, 2, max_states=2053).distinct_states == 2053
     with pytest.raises(BudgetExceeded) as exc:
         explore(cfg, 2, max_states=2052)
-    assert (exc.value.what, exc.value.limit) == ("state", 2052)
-    monkeypatch.setattr(checker, "_TICK_SLACK", -1)
-    with pytest.raises(BudgetExceeded) as exc:
-        explore(cfg, 1)
-    assert (exc.value.what, exc.value.limit) == ("tick", 9)
-
-
-def test_explore_budgets_meet_in_the_unreduced_order(monkeypatch):
-    # (2,3) at x = 1 holds 280 states up to tick 9, the cap at slack -1: a
-    # state budget of 280 is spent before the first state past the cap, and
-    # one of 281 is not, although that state's orbit would overrun it
-    monkeypatch.setattr(checker, "_TICK_SLACK", -1)
-    for budget, what in ((280, "state"), (281, "tick")):
-        with pytest.raises(BudgetExceeded) as exc:
-            explore(make_config(2, 3), 1, max_states=budget)
-        assert exc.value.what == what, budget
+    assert exc.value.limit == 2052
 
 
 # (stable length, states generated, distinct states) for x = 0, 1, ...,
@@ -159,6 +142,19 @@ def test_explore_length_rises_past_the_closed_form_plateau():
         runs = [explore(make_config(i, j), x) for x in range(len(lengths))]
         assert [r.stable_length for r in runs] == lengths, (i, j)
         assert [(r.states_generated, r.distinct_states) for r in runs] == counts, (i, j)
+
+
+def test_explore_length_saturates_once_every_behavior_has_decided():
+    # the length never falls as x grows, and once it is at most x + 1 no
+    # undecided state lies where a later start would add an election, so it
+    # stays, below x from (1,3)'s x = 14 on; (3,2) runs to tick 21 at x = 15,
+    # where the closed form gives 12
+    lengths = [explore(make_config(1, 3), x).stable_length for x in range(15)]
+    assert lengths == [7, 10, 10, 10, 11, 12] + [13] * 9
+    for (i, j), xs, length in (((3, 2), (15, 22), 21), ((2, 3), (20,), 19)):
+        runs = [explore(make_config(i, j), x) for x in xs]
+        assert [r.stable_length for r in runs] == [length] * len(xs), (i, j)
+        assert len({(r.states_generated, r.distinct_states) for r in runs}) == 1
 
 
 def test_explore_and_the_scan_report_the_orbits_they_kept():
@@ -244,10 +240,12 @@ def test_explore_counts_alike_with_either_consensus_test(monkeypatch):
 
 def test_checkrun_validation():
     cfg = make_config(2, 3)
-    with pytest.raises(ValueError):
-        CheckRun(cfg, 5, 4, 10, 5, 0.0)
+    # a length below the start is valid once every behavior has decided
+    assert CheckRun(cfg, 5, 4, 10, 5, 0.0).stable_length == 4
     with pytest.raises(ValueError):
         CheckRun(cfg, 0, 7, 5, 10, 0.0)
+    with pytest.raises(ValueError):
+        CheckRun(cfg, 0, 7, 10, 5, 0.0, orbits=6)
 
 
 def test_safety_scan_finds_no_violations():
@@ -264,7 +262,7 @@ def test_safety_scan_state_budget_is_exact():
     assert safety_scan(cfg, max_states=2681).distinct_states == 2681
     with pytest.raises(BudgetExceeded) as exc:
         safety_scan(cfg, max_states=2680)
-    assert (exc.value.what, exc.value.limit) == ("state", 2680)
+    assert exc.value.limit == 2680
 
 
 def test_safety_scan_reports_values_chosen_by_disjoint_quorums():
@@ -323,7 +321,7 @@ def _kernel_bfs(kernel, max_states=10**6):
             generated += 1
             if s not in seen:
                 if len(seen) >= max_states:
-                    raise BudgetExceeded("state", max_states)
+                    raise BudgetExceeded(max_states)
                 seen.add(s)
                 frontier.append(s)
     return seen, generated, order
@@ -564,7 +562,7 @@ def test_kernel_bfs_budget_is_exact():
     assert len(_kernel_bfs(k, max_states=2681)[0]) == 2681
     with pytest.raises(BudgetExceeded) as exc:
         _kernel_bfs(k, max_states=2680)
-    assert (exc.value.what, exc.value.limit) == ("state", 2680)
+    assert exc.value.limit == 2680
 
 
 def test_owned_moves_reach_the_scan_states_once_learners_fold():

@@ -318,6 +318,30 @@ def test_trace_check_with_an_empty_spec_file_is_usage(tmp_path, capsys):
     assert err.strip() == f"error: {spec} holds no property"
 
 
+def test_spec_file_blocks_print_and_check(tmp_path, capsys):
+    lasso = tmp_path / "raft.lasso"
+    run(capsys, "scenario", "raft-eachvote", "--out", str(lasso))
+    spec = tmp_path / "s.lspec"
+    spec.write_text(
+        "# a link and an assertion\n"
+        "Sure(D) = each p1.sent m to p2 has (p2.received m from p1 after D)\n"
+        "\n"
+        "Learn = evt some p in servers, v in values has p.learned (v)\n")
+    code, out, _err = run(capsys, "spec", "print", str(spec), "--param", "D=2")
+    assert (code, out) == (0, (
+        "Sure = each p1.sent m to p2 has p2.received m from p1 after 2\n"
+        "Learn = evt some p in servers, v in values has p.learned (v)\n"))
+    # the check takes the file's first property
+    code, out, _err = run(capsys, "trace", "check", str(lasso), "--property", str(spec),
+                          "--param", "D=2")
+    assert (code, out) == (0, "Sure: Holds\n")
+    for argv in (("spec", "print", str(spec)),
+                 ("trace", "check", str(lasso), "--property", str(spec))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.strip() == "error: parameter 'D' has no binding"
+
+
 def test_unreadable_or_malformed_trace_file_is_usage(tmp_path, capsys):
     code, out, err = run(capsys, "trace", "check", str(tmp_path / "missing.trace"),
                          "--property", "Some-Learn")

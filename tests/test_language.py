@@ -138,8 +138,13 @@ def test_single_expression_file():
 
 def test_random_roundtrip():
     rng = random.Random(5)
-    for _ in range(300):
-        expr = random_expr(rng, depth=4)
+    exprs = [random_expr(rng, depth=4) for _ in range(300)]
+    # constant terms, and a literal before a variable in a time term
+    exprs += [parse(text) for text in (
+        "some v in values has 'p1'.learned (v)",
+        "some p in servers has p.voted (2,1,'v1')",
+        "some t in [0,5] has servers at 3+t = servers at t")]
+    for expr in exprs:
         printed = print_expr(expr)
         assert parse(printed) == expr, printed
 

@@ -58,6 +58,22 @@ def test_only_supplied_quorums_are_checked_for_intersection():
     record["quorums"] = [["a1"], ["a2"]]   # a file's header supplies its quorums
     with pytest.raises(InvalidQuorumSystem):
         config_from_record(record)
+    # supplied quorums that are the majorities, as every file header's are,
+    # skip it too
+    meets = []
+
+    class Counted(frozenset):
+        def __and__(self, other):
+            meets.append(other)
+            return frozenset.__and__(self, other)
+
+    cfg = make_config(1, 13)
+    acceptors, quorums = cfg.acceptors, tuple(map(Counted, cfg.quorums))
+    assert SystemConfig(("p1",), acceptors, quorums=quorums).quorums == quorums
+    assert meets == []
+    with pytest.raises(InvalidQuorumSystem):
+        SystemConfig(("p1",), acceptors, quorums=quorums + (Counted({"x"}),))
+    assert meets
 
 
 def test_4p4a_quorums_are_three_of_four():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import time
@@ -10,9 +11,10 @@ from livenesslab.hierarchy import corpus_config, random_lasso
 from livenesslab.language import parse
 from livenesslab.scenarios import TraceBuilder, raft_eachvote_lasso
 from livenesslab.temporal import (
-    Alw, Atom, At, Const, Evt, Interval, LassoInconsistent, NfSet, Not,
-    ObservationState, TimeOutOfRange, TLit, Trace, TrueE, UNDETERMINED,
-    UnboundVariable, Var, desugar, eval_expr, normalize_at,
+    Alw, Atom, At, Const, Each, Evt, Interval, LassoInconsistent, NamedDomain,
+    NfSet, Not, ObservationState, ServersEq, TimeOutOfRange, TLit, TNow, TPlus,
+    Trace, TrueE, UNDETERMINED, UnboundVariable, Var, desugar, eval_expr,
+    normalize_at,
 )
 
 from oracles import naive_eval, random_expr
@@ -92,6 +94,18 @@ def test_evt_alw_quorum_lasso_matches_brute_force_unrolling():
     unrolled = tr.unrolled(extra_cycles=3)
     assert naive_eval(Alw(Atom("nf", (Const("a1"),))), list(unrolled.states),
                       tr.config, now=1) is not False
+    # values that are lists bind a window body's variable to something
+    # unhashable, so the closures answer in place of the body's mask
+    for text in ("some v in values has evt alw (v nf)", "each v in values has alw (v nf)",
+                 "each v in values has evt (v nf)"):
+        expr = parse(text)
+        got = []
+        for values in ((["a1", "a2"], ["a1", "s2"]), (("a1", "a2"), ("a1", "s2"))):
+            cfg = dataclasses.replace(tr.config, values=values)
+            got.append(eval_expr(expr, Trace(tr.states, cfg, tr.loop_start)).status)
+            assert naive_eval(expr, list(unrolled.states), cfg) in (
+                {"holds": True, "violated": False}[got[-1]], None), text
+        assert got[0] == got[1], text
 
 
 def test_duality_not_alw_equals_evt_not():
@@ -143,6 +157,14 @@ def test_eval_matches_naive_oracle_on_finite_traces():
         ref = naive_eval(expr, list(trace.states), trace.config)
         expected = {True: "holds", False: "violated", None: "undetermined"}[ref]
         assert mine.status == expected, (expr, trace.states)
+    # past the end: the roster at two ticks, an atom nothing records, and a
+    # quantifier over the roster
+    trace = Trace(quorum_lasso().states, corpus_config())
+    later = TPlus(TNow(), len(trace.states))
+    for expr in (ServersEq(later, TNow()), At(Atom("frob", ()), later),
+                 At(Each("p", NamedDomain("servers"), Atom("nf", (Var("p"),))), later)):
+        assert naive_eval(expr, list(trace.states), trace.config) is None, expr
+        assert eval_expr(expr, trace).is_undetermined, expr
 
 
 def test_normalize_and_desugar_preserve_eval():
@@ -169,6 +191,10 @@ def test_literal_at_beyond_finite_trace_raises():
         eval_expr(At(TrueE(), TLit(9)), tr)
     # on a lasso the same time is well-defined
     assert eval_expr(At(TrueE(), TLit(9)), tr.stuttered()).is_holds
+    # a time before tick 0 is out of range on either
+    for trace in (tr, tr.stuttered()):
+        with pytest.raises(TimeOutOfRange, match="before the start"):
+            eval_expr(At(TrueE(), TPlus(TNow(), -1)), trace)
 
 
 def test_send_quantifiers_take_messages_that_do_not_compare():
